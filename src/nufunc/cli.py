@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -28,7 +27,7 @@ import numpy as np
 from .doot import MatrixElementQuery, parse_expression, scalarize
 from .errors import DomainError, NuFuncError, ParseError
 from .identities import reports_to_json, run_suite, suite_passed
-from .coherent import overlap_continuous, poisson_density_discrete, transition_density
+from .coherent import _overlap_detailed, poisson_density_discrete, transition_density
 from .nu import (
     HyperParams,
     StructureFn,
@@ -168,15 +167,7 @@ def _eval_rows(args, parser) -> list:
         sf = _family(args)
         z1 = parse_complex_literal(args.bra)
         z2 = parse_complex_literal(args.ket)
-        num = nu_general_detailed(sf, z1.conjugate() * z2, spec)
-        den1 = nu_general_detailed(sf, abs(z1) ** 2, spec)
-        den2 = nu_general_detailed(sf, abs(z2) ** 2, spec)
-        v = overlap_continuous(sf, z1, z2, spec)
-        d1 = complex(den1.value).real
-        d2 = complex(den2.value).real
-        est = num.error_estimate / math.sqrt(d1 * d2) + abs(v) * 0.5 * (
-            den1.error_estimate / d1 + den2.error_estimate / d2
-        )
+        v, est = _overlap_detailed(sf, z1, z2, spec)
         rows.append((0.0, v.real, v.imag, est))
     elif fn == "density":
         if args.zsq is None:
@@ -184,8 +175,8 @@ def _eval_rows(args, parser) -> list:
         sf = _family(args)
         norm = nu_general_detailed(sf, float(args.zsq), spec)
         norm_val = complex(norm.value).real
-        for e_val in inputs(args.E, "--E"):
-            v = transition_density(sf, float(args.zsq), float(e_val), spec)
+        energies = inputs(args.E, "--E")
+        for e_val, v in zip(energies, transition_density(sf, float(args.zsq), energies, spec)):
             rows.append((e_val, v, 0.0, abs(v) * norm.error_estimate / norm_val))
     elif fn == "poisson":
         if args.zsq is None:

@@ -11,7 +11,8 @@ a diagnostic comparing the series and integral normalizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .nu import (
@@ -19,6 +20,7 @@ from .nu import (
     StructureFn,
     convergence_domain,
     nu_general,
+    nu_general_detailed,
     nu_general_log,
     pfq_series,
     pfq_series_log,
@@ -27,26 +29,6 @@ from .nu import (
 )
 from .quadrature import QuadSpec
 from .special import complex_pow, log_gamma
-
-
-@dataclass(frozen=True)
-class CsLabel:
-    """Complex label of a coherent state; one type serves both the
-    discrete and continuous families."""
-
-    z: complex
-
-
-@dataclass(frozen=True)
-class TransitionDensity:
-    """Normalized density over energies E >= 0 at fixed squared label
-    modulus; density(E) >= 0 and the E-integral is 1 by construction."""
-
-    family: StructureFn
-    z_mod_sq: float
-
-    def density(self, E: float, spec: QuadSpec) -> float:
-        return transition_density(self.family, self.z_mod_sq, E, spec)
 
 
 def _require_series_domain(sf: StructureFn, z_mod_sq: float) -> None:
@@ -99,35 +81,50 @@ def overlap_continuous(
     nu(conj(z) * z2) / sqrt(nu(|z|^2) * nu(|z2|^2))."""
     z = complex(z)
     z2 = complex(z2)
+    if z == z2 and z != 0.0:
+        return 1.0 + 0.0j
+    return _overlap_detailed(sf, z, z2, spec)[0]
+
+
+def _overlap_detailed(sf: StructureFn, z: complex, z2: complex, spec: QuadSpec):
+    """(overlap, error estimate) from one evaluation of each nu integral.
+    The square roots stay apart: their product overflows once
+    |z|^2 + |z2|^2 passes ~709.8, while the overlap is at most 1."""
     if abs(z) == 0.0 or abs(z2) == 0.0:
         raise DomainError("continuous normalizer vanishes at z = 0")
-    if z == z2:
-        return 1.0 + 0.0j
-    numerator = nu_general(sf, z.conjugate() * z2, spec)
-    n1 = nu_general(sf, abs(z) ** 2, spec).real
-    n2 = nu_general(sf, abs(z2) ** 2, spec).real
+    num = nu_general_detailed(sf, z.conjugate() * z2, spec)
+    den1 = nu_general_detailed(sf, abs(z) ** 2, spec)
+    den2 = nu_general_detailed(sf, abs(z2) ** 2, spec)
+    n1, n2 = den1.value.real, den2.value.real
     if not (n1 > 0.0 and n2 > 0.0):
         raise DomainError("integral normalizer is not positive")
-    return numerator / math.sqrt(n1 * n2)
+    scale = math.sqrt(n1) * math.sqrt(n2)
+    value = 1.0 + 0.0j if z == z2 else num.value / scale
+    est = num.error_estimate / scale + abs(value) * 0.5 * (
+        den1.error_estimate / n1 + den2.error_estimate / n2
+    )
+    return value, est
 
 
-def transition_density(
-    sf: StructureFn, z_mod_sq: float, E: float, spec: QuadSpec
-) -> float:
+def transition_density(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
     """Density of finding energy E in the state labeled by |z|^2:
-    (|z|^2)^E / rho(E) / nu(|z|^2).  Integrates to 1 over E."""
+    (|z|^2)^E / rho(E) / nu(|z|^2).  Integrates to 1 over E.  For an
+    array E the normalizer is integrated once, and each entry equals the
+    scalar call at that energy."""
     z_mod_sq = float(z_mod_sq)
     if z_mod_sq < 0.0:
         raise DomainError(f"squared modulus must be >= 0, got {z_mod_sq}")
     if z_mod_sq == 0.0:
         raise DomainError("density undefined at |z|^2 = 0 (normalizer vanishes)")
-    if E < 0:
-        raise DomainError(f"energy must be >= 0, got {E}")
+    energies = np.asarray(E, dtype=float)
+    if np.any(energies < 0):
+        raise DomainError(f"energy must be >= 0, got {energies[energies < 0][0]}")
     norm = nu_general(sf, z_mod_sq, spec).real
     if not (norm > 0.0):
         raise DomainError("integral normalizer is not positive")
-    rho = rho_continuous(sf, E)
-    return math.exp(E * math.log(z_mod_sq) - rho.log_abs) / norm
+    log_u = math.log(z_mod_sq)
+    dens = [math.exp(e * log_u - rho_continuous(sf, e).log_abs) / norm for e in energies.flat]
+    return np.reshape(dens, energies.shape) if energies.ndim else dens[0]
 
 
 def poisson_density_discrete(z_mod_sq: float, n: int) -> float:

@@ -240,67 +240,46 @@ def normal_order(e: DootExpr) -> DootExpr:
 # Scalarization
 
 
-def _substitute(e: DootExpr, plus_value: complex, minus_value: complex) -> DootExpr:
+def _evaluate(e: DootExpr, plus: complex, minus: complex, spec: QuadSpec) -> complex:
+    """Value of `e`, reading the raising symbol as `plus`, the lowering as `minus`."""
     if isinstance(e, SymbolPlus):
-        return Scalar(plus_value)
+        return plus
     if isinstance(e, SymbolMinus):
-        return Scalar(minus_value)
-    if isinstance(e, Scalar):
-        return e
-    if isinstance(e, Sum):
-        return Sum(tuple(_substitute(t, plus_value, minus_value) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(
-            tuple(_substitute(f, plus_value, minus_value) for f in e.factors)
-        )
-    if isinstance(e, Power):
-        return Power(_substitute(e.base, plus_value, minus_value), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_substitute(e.argument, plus_value, minus_value))
-    if isinstance(e, NuWrap):
-        return NuWrap(e.family, _substitute(e.argument, plus_value, minus_value))
-    if isinstance(e, NormalOrder):
-        return NormalOrder(_substitute(e.inner, plus_value, minus_value))
-    raise UnsupportedNode(f"not an expression node: {e!r}")
-
-
-def _evaluate(e: DootExpr, spec: QuadSpec) -> complex:
+        return minus
     if isinstance(e, Scalar):
         return complex(e.value)
     if isinstance(e, Sum):
-        return sum(_evaluate(t, spec) for t in e.terms)
+        return sum(_evaluate(t, plus, minus, spec) for t in e.terms)
     if isinstance(e, Product):
         out = 1 + 0j
         for f in e.factors:
-            out *= _evaluate(f, spec)
+            out *= _evaluate(f, plus, minus, spec)
         return out
     if isinstance(e, Power):
-        base = _evaluate(e.base, spec)
+        base = _evaluate(e.base, plus, minus, spec)
         try:
             return base ** e.exponent
         except ZeroDivisionError:
             raise DomainError("zero base raised to a negative power") from None
     if isinstance(e, Exp):
-        return cmath.exp(_evaluate(e.argument, spec))
+        return cmath.exp(_evaluate(e.argument, plus, minus, spec))
     if isinstance(e, NuWrap):
-        return nu_general(e.family, _evaluate(e.argument, spec), spec)
+        return nu_general(e.family, _evaluate(e.argument, plus, minus, spec), spec)
     if isinstance(e, NormalOrder):
-        return _evaluate(e.inner, spec)
-    if isinstance(e, (SymbolPlus, SymbolMinus)):
-        raise UnsupportedNode("unresolved ladder symbol in numeric evaluation")
+        return _evaluate(e.inner, plus, minus, spec)
     raise UnsupportedNode(f"not an expression node: {e!r}")
 
 
 def scalarize(q: MatrixElementQuery, sf: StructureFn, spec: QuadSpec) -> complex:
-    """Numeric value of <bra| expr |ket>: canonicalize, replace the
-    lowering symbol by the ket label and the raising symbol by the
-    conjugated bra label, evaluate, and multiply by the state overlap
-    when the labels differ."""
+    """Numeric value of <bra| expr |ket>: canonicalize, evaluate with the
+    lowering symbol read as the ket label and the raising symbol as the
+    conjugated bra label, and multiply by the state overlap when the
+    labels differ."""
     bra = complex(q.bra_label)
     ket = complex(q.ket_label)
-    canonical = normal_order(q.expr)
-    substituted = _substitute(canonical, bra.conjugate(), ket)
-    value = _evaluate(substituted, spec)
+    # normal_order is not optional: it merges exp(X)*exp(Y) and nested
+    # powers, which changes the rounding of the value.
+    value = _evaluate(normal_order(q.expr), bra.conjugate(), ket, spec)
     if bra != ket:
         value *= overlap_continuous(sf, bra, ket, spec)
     return value

@@ -157,17 +157,21 @@ def _weight_exponent(sf: StructureFn) -> float:
     )
 
 
-def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec):
-    """integral over t of exp(-t) * t**b * nu_family(t / x), b from the family."""
+def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth=0.0):
+    """integral over t of exp(-t) * t**b * inner(t / x), b from the family.
+
+    `inner` is a batched evaluator; `extra_growth` is the growth in t it
+    adds beyond t**b, which moves the truncation point and the peak out."""
     bexp = _weight_exponent(sf)
     rate = 1.0 - 1.0 / x
-    T = (_LOG_TRUNC + 20.0 + 5.0 * max(bexp, 0.0)) / rate
+    growth = max(bexp, 0.0) + extra_growth
+    T = (_LOG_TRUNC + 20.0 + 5.0 * growth) / rate
     if T / x > _EXP_ARG_LIMIT:
         raise DomainError(
-            f"x={x!r} is too close to 1: the inner argument reaches {T / x:.3g} "
+            f"scale {x!r} is too close to 1: the inner argument reaches {T / x:.3g} "
             "before the weight decays, overflowing linear-space nu values"
         )
-    peak = max(0.5, bexp / rate)
+    peak = max(0.5, growth / rate)
     probe = IntegrandProbe(
         peak_location=peak, truncation_point=T, peak_log_value=0.0
     )
@@ -178,7 +182,7 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec):
             w = np.exp(-t)
         else:
             w = np.exp(-t + bexp * np.log(t))
-        return w * nu_positive_batch(sf, t / x, spec)
+        return w * inner(t / x)
 
     return integrate_semi_infinite_detailed(f, probe, spec)
 
@@ -224,7 +228,7 @@ def check_weighted_nu_integral(
     x = float(x)
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"weighted integral requires x > 1, got x={x!r}")
-    res = _weighted_lhs(sf, x, spec)
+    res = _weighted_lhs(sf, x, spec, lambda u: nu_positive_batch(sf, u, spec))
     lhs = complex(res.value).real
     log_norm = sum(math.lgamma(bj) for bj in sf.params.b) - sum(
         math.lgamma(ai) for ai in sf.params.a
@@ -258,7 +262,7 @@ def check_eq_4_20(
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"power-weighted integral requires x > 1, got x={x!r}")
     sf = StructureFn(HyperParams(1, 1, (1.0,), (b + 1.0,)))
-    res = _weighted_lhs(sf, x, spec)
+    res = _weighted_lhs(sf, x, spec, lambda u: nu_positive_batch(sf, u, spec))
     lhs_norm = complex(res.value).real
     gamma_b1 = math.gamma(b + 1.0)
     lhs_unnorm = lhs_norm / gamma_b1
@@ -307,27 +311,10 @@ def check_eq_4_22(
         )
 
     # Left side: outer t-integral with the batched two-argument nu.
-    rate = 1.0 - 1.0 / C
-    T = (_LOG_TRUNC + 20.0 + 5.0 * (max(bexp, 0.0) + max(alpha, 0.0))) / rate
-    if T / C > _EXP_ARG_LIMIT:
-        raise DomainError(
-            f"C={C!r} is too close to 1: the inner argument reaches "
-            f"{T / C:.3g} before the weight decays"
-        )
-    peak = max(0.5, (max(bexp, 0.0) + max(alpha, 0.0)) / rate)
-    probe_t = IntegrandProbe(
-        peak_location=peak, truncation_point=T, peak_log_value=0.0
+    res = _weighted_lhs(
+        sf, C, spec, lambda u: nu_alpha_positive_batch(u, alpha, spec), max(alpha, 0.0)
     )
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        if bexp == 0.0:
-            w = np.exp(-t)
-        else:
-            w = np.exp(-t + bexp * np.log(t))
-        return w * nu_alpha_positive_batch(t / C, alpha, spec)
-
-    lhs = complex(integrate_semi_infinite_detailed(f, probe_t, spec).value).real
+    lhs = complex(res.value).real
 
     # Right side: shifted prefactor times a one-dimensional E-integral.
     ln_c = math.log(C)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DivergentFamily, DomainError, NoConvergence
 from .quadrature import (
-    IntegrandProbe,
     IntegrationResult,
     QuadSpec,
     integrate_semi_infinite_detailed,
@@ -167,15 +166,6 @@ def _peak_hint(log_abs_w: float) -> float:
     return max(digamma_inverse(log_abs_w) - 1.0, 1e-3)
 
 
-def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
-    def log_mod(E):
-        if E <= 0.0:
-            E = 0.0
-        return E * log_r - sf.log_rho_scalar(E)
-
-    return locate_peak(log_mod, _peak_hint(log_r))
-
-
 def _check_domain(sf: StructureFn, abs_w: float) -> None:
     dom = convergence_domain(sf)
     if dom.kind == "divergent":
@@ -190,6 +180,69 @@ def _check_domain(sf: StructureFn, abs_w: float) -> None:
         )
 
 
+def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False, shared_scale=True):
+    """Integral over E >= 0 of exp(c*E) / rho(E) for one exponent
+    c = ln|w| + i*arg(w), or for a 1-d array of them on one panel tree.
+
+    The peak probe runs at `log_r`, the largest ln|w|; panels are capped at
+    6 / max|Im c| to resolve the oscillation.  With `scaled` the integrand
+    is divided by exp(peak log value).  Returns (result, log_scale) with
+    integral = exp(log_scale) * result.value.
+    """
+
+    def log_mod(E):
+        E = max(E, 0.0)
+        return E * log_r - sf.log_rho_scalar(E)
+
+    probe = locate_peak(log_mod, _peak_hint(log_r))
+    shift = probe.peak_log_value if scaled else 0.0
+    col = (slice(None),) + (None,) * np.ndim(c)
+
+    def f(E):
+        E = np.asarray(E, dtype=float)
+        x = E[col] * c
+        x -= sf.log_rho_continuous(E)[col]
+        x -= shift
+        return np.exp(x, out=x)
+
+    max_im = float(np.max(np.abs(np.imag(c))))
+    max_width = 6.0 / max_im if max_im > 1e-9 else None
+    return _engine(f, probe, spec, c, max_width, shared_scale), shift
+
+
+def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
+    """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for one
+    c = ln w, or for a 1-d array of them on one panel tree with per-component
+    budgets; `log_r` is the largest ln w."""
+    col = (slice(None),) + (None,) * np.ndim(c)
+
+    def f(E):
+        E = np.asarray(E, dtype=float)
+        log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
+        vals = sign[col] * np.exp((alpha + E)[col] * c + log_abs[col])
+        return np.where(sign[col] == 0.0, 0.0, vals)
+
+    def log_mod(E):
+        log_abs, _ = reciprocal_gamma_log_signed(np.array([alpha + E + 1.0]))
+        return (alpha + E) * log_r + float(log_abs[0])
+
+    # Keep the peak search to the right of the last zero of 1/Gamma.
+    hint = max(_peak_hint(log_r) - alpha, -alpha - 1.0 + 1.5, 0.05)
+    probe = locate_peak(log_mod, hint)
+    max_width = 0.5 if alpha <= -0.5 else None
+    return _engine(f, probe, spec, c, max_width, shared_scale=False)
+
+
+def _engine(f, probe, spec, c, max_width, shared_scale) -> IntegrationResult:
+    """Scalar engine for a scalar `c`; shared panel tree for an array."""
+    if np.ndim(c) == 0:
+        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width=max_width)
+    values, errors, panels = integrate_vector_semi_infinite(
+        f, probe, spec, max_panel_width=max_width, shared_scale=shared_scale
+    )
+    return IntegrationResult(values, errors, panels)
+
+
 def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     """As nu_general, but returning the IntegrationResult with its error
     accounting (value, error_estimate, panel_count)."""
@@ -198,15 +251,7 @@ def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     if w == 0:
         return IntegrationResult(0j, 0.0, 0)
     log_r = math.log(abs(w))
-    theta = cmath.phase(w)
-    probe = _nu_probe(sf, log_r)
-    c = complex(log_r, theta)
-
-    def f(E):
-        return np.exp(E * c - sf.log_rho_continuous(E))
-
-    max_width = 6.0 / abs(theta) if abs(theta) > 1e-9 else None
-    return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width=max_width)
+    return _nu_integral(sf, log_r, complex(log_r, cmath.phase(w)), spec)[0]
 
 
 def nu_general(sf: StructureFn, w, spec: QuadSpec) -> complex:
@@ -234,13 +279,7 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
         raise DomainError(f"nu_general_log requires w > 0, got {w!r}")
     _check_domain(sf, w)
     log_r = math.log(w)
-    probe = _nu_probe(sf, log_r)
-    shift = probe.peak_log_value
-
-    def f(E):
-        return np.exp(E * log_r - sf.log_rho_continuous(E) - shift)
-
-    res = integrate_semi_infinite_detailed(f, probe, spec)
+    res, shift = _nu_integral(sf, log_r, log_r, spec, scaled=True)
     return shift + math.log(res.value.real)
 
 
@@ -254,22 +293,7 @@ def nu_alpha_detailed(w: float, alpha: float, spec: QuadSpec):
     if not math.isfinite(alpha):
         raise DomainError(f"nu_alpha requires finite alpha, got {alpha!r}")
     log_w = math.log(w)
-
-    def f(E):
-        E = np.asarray(E, dtype=float)
-        log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        vals = sign * np.exp((alpha + E) * log_w + log_abs)
-        return np.where(sign == 0.0, 0.0, vals)
-
-    def log_mod(E):
-        log_abs, _ = reciprocal_gamma_log_signed(np.array([alpha + E + 1.0]))
-        return (alpha + E) * log_w + float(log_abs[0])
-
-    # Keep the peak search to the right of the last zero of 1/Gamma.
-    hint = max(_peak_hint(log_w) - alpha, -alpha - 1.0 + 1.5, 0.05)
-    probe = locate_peak(log_mod, hint)
-    max_width = 0.5 if alpha <= -0.5 else None
-    return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width=max_width)
+    return _nu_alpha_integral(log_w, log_w, alpha, spec)
 
 
 def nu_alpha(w: float, alpha: float, spec: QuadSpec) -> float:
@@ -284,42 +308,9 @@ def nu_alpha(w: float, alpha: float, spec: QuadSpec) -> float:
 
 
 def nu_on_circle(r: float, phases, sf: StructureFn, spec: QuadSpec):
-    """nu_general at w = r * exp(i*phase) for a whole batch of phases at once.
-
-    All phases share one magnitude profile |w^E/rho(E)| and therefore one
-    panel tree; conjugate symmetry halves the distinct phase count.  This is
-    the workhorse behind the complex-plane identity checks, where thousands
-    of same-magnitude evaluations occur.
-    """
-    phases = np.asarray(phases, dtype=float)
-    r = float(r)
-    _check_domain(sf, r)
-    if r == 0.0:
-        return np.zeros(phases.shape, dtype=complex)
-    # Reduce to the principal interval (-pi, pi].
-    ph = np.mod(phases + math.pi, 2.0 * math.pi) - math.pi
-    ph = np.where(ph <= -math.pi, ph + 2.0 * math.pi, ph)
-
-    abs_ph = np.abs(ph)
-    uniq, inverse = np.unique(abs_ph, return_inverse=True)
-
-    log_r = math.log(r)
-    probe = _nu_probe(sf, log_r)
-    exponents = log_r + 1j * uniq  # shape (m,)
-
-    def f(E):
-        E = np.asarray(E, dtype=float)
-        return np.exp(
-            E[:, None] * exponents[None, :] - sf.log_rho_continuous(E)[:, None]
-        )
-
-    max_abs = float(uniq[-1])
-    max_width = 6.0 / max_abs if max_abs > 1e-9 else None
-    values_u, _, _ = integrate_vector_semi_infinite(
-        f, probe, spec, max_panel_width=max_width
-    )
-    values = values_u[inverse]
-    return np.where(ph < 0.0, np.conj(values), values)
+    """nu_general at w = r * exp(i*phase) for a batch of phases: the
+    one-modulus row of nu_complex_grid."""
+    return nu_complex_grid(sf, [r], phases, spec)[0]
 
 
 def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
@@ -341,20 +332,8 @@ def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
     wpos = ws[pos]
     wmax = float(np.max(wpos))
     _check_domain(sf, wmax)
-    log_ws = np.log(wpos)
-
-    probe = _nu_probe(sf, math.log(wmax))
-
-    def f(E):
-        E = np.asarray(E, dtype=float)
-        return np.exp(
-            E[:, None] * log_ws[None, :] - sf.log_rho_continuous(E)[:, None]
-        )
-
-    values, _, _ = integrate_vector_semi_infinite(
-        f, probe, spec, shared_scale=False
-    )
-    out[pos] = np.real(values)
+    res, _ = _nu_integral(sf, math.log(wmax), np.log(wpos), spec, shared_scale=False)
+    out[pos] = np.real(res.value)
     return out
 
 
@@ -371,29 +350,8 @@ def nu_alpha_positive_batch(ws, alpha: float, spec: QuadSpec):
         raise DomainError("nu_alpha_positive_batch requires finite ws > 0")
     if not math.isfinite(alpha):
         raise DomainError(f"finite alpha required, got {alpha!r}")
-    log_ws = np.log(ws)
-    wmax = float(np.max(ws))
-    log_wmax = math.log(wmax)
-
-    def f(E):
-        E = np.asarray(E, dtype=float)
-        log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        vals = sign[:, None] * np.exp(
-            (alpha + E)[:, None] * log_ws[None, :] + log_abs[:, None]
-        )
-        return np.where(sign[:, None] == 0.0, 0.0, vals)
-
-    def log_mod(E):
-        log_abs, _ = reciprocal_gamma_log_signed(np.array([alpha + E + 1.0]))
-        return (alpha + E) * log_wmax + float(log_abs[0])
-
-    hint = max(_peak_hint(log_wmax) - alpha, -alpha - 1.0 + 1.5, 0.05)
-    probe = locate_peak(log_mod, hint)
-    max_width = 0.5 if alpha <= -0.5 else None
-    values, _, _ = integrate_vector_semi_infinite(
-        f, probe, spec, max_panel_width=max_width, shared_scale=False
-    )
-    return np.real(values)
+    log_wmax = math.log(float(np.max(ws)))
+    return np.real(_nu_alpha_integral(log_wmax, np.log(ws), alpha, spec).value)
 
 
 def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
@@ -421,24 +379,12 @@ def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
     rmax = float(np.max(rpos))
     _check_domain(sf, rmax)
 
+    # Reduce to the principal interval (-pi, pi].
     ph = np.mod(phases + math.pi, 2.0 * math.pi) - math.pi
     ph = np.where(ph <= -math.pi, ph + 2.0 * math.pi, ph)
-
-    probe = _nu_probe(sf, math.log(rmax))
     exponents = (np.log(rpos)[:, None] + 1j * ph[None, :]).ravel()
-
-    def f(E):
-        E = np.asarray(E, dtype=float)
-        return np.exp(
-            E[:, None] * exponents[None, :] - sf.log_rho_continuous(E)[:, None]
-        )
-
-    max_abs = float(np.max(np.abs(ph)))
-    max_width = 6.0 / max_abs if max_abs > 1e-9 else None
-    values, _, _ = integrate_vector_semi_infinite(
-        f, probe, spec, max_panel_width=max_width, shared_scale=True
-    )
-    out[pos, :] = values.reshape(rpos.size, ph.size)
+    res, _ = _nu_integral(sf, math.log(rmax), exponents, spec)
+    out[pos, :] = res.value.reshape(rpos.size, ph.size)
     return out
 
 

@@ -150,8 +150,7 @@ def test_criterion_07_density_normalization():
     worst_int = 0.0
     for sf, u in cases:
         def dens(E, sf=sf, u=u):
-            E = np.asarray(E, dtype=float)
-            return np.array([transition_density(sf, u, float(e), SPEC) for e in E])
+            return transition_density(sf, u, E, SPEC)
 
         def log_dens(E, sf=sf, u=u):
             return math.log(max(transition_density(sf, u, float(E), SPEC), 1e-300))

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: formats, exit codes, determinism."""
 
+import importlib
 import json
 import math
 
@@ -113,6 +114,34 @@ def test_eval_overlap_scalar_only(capsys):
     assert float(fields[0]) == 0.0
     assert float(fields[1]) == 1.0
     assert float(fields[2]) == 0.0
+
+
+def test_eval_overlap_of_large_labels(capsys):
+    code, out, _ = run_cli(capsys, "eval", "overlap", "--bra", "20", "--ket", "19+1i")
+    assert code == 0
+    fields = out.strip().splitlines()[1].split(",")
+    value = complex(float(fields[1]), float(fields[2]))
+    assert abs(value) == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert 0.0 < float(fields[3]) < 1e-9
+
+
+def test_one_normalizer_per_answer(capsys, monkeypatch):
+    # The package's `nu` function shadows the `nufunc.nu` module attribute.
+    nu_module = importlib.import_module("nufunc.nu")
+    calls = []
+    core = nu_module._nu_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(nu_module, "_nu_integral", counted)
+    code, out, _ = run_cli(capsys, "table", "density", "--zsq", "2.5", "--grid", "0:9:20")
+    assert code == 0 and len(out.strip().splitlines()) == 21
+    assert len(calls) <= 2
+    calls.clear()
+    code, _, _ = run_cli(capsys, "eval", "overlap", "--bra", "0.5", "--ket", "0.2+0.1i")
+    assert code == 0 and len(calls) == 3
 
 
 def test_eval_density_and_poisson(capsys):

@@ -72,10 +72,7 @@ def test_continuous_density_integrates_to_one():
         u = abs(z) ** 2
 
         def dens(E, sf=sf):
-            E = np.asarray(E, dtype=float)
-            return np.array(
-                [transition_density(sf, u, float(e), SPEC) for e in E]
-            )
+            return transition_density(sf, u, E, SPEC)
 
         log_u = math.log(u)
 
@@ -99,6 +96,17 @@ def test_continuous_coefficient_squared_is_density():
 def test_continuous_coefficient_rejects_bad_exponent():
     with pytest.raises(DomainError):
         cs_coefficient_continuous(PLAIN, 0.5, -0.5, spec=SPEC)
+
+
+def test_transition_density_array_equals_scalar_calls():
+    E = np.array([0.0, 0.3, 1.0, 2.5, 7.25, 40.0])
+    for sf, u in ((PLAIN, 0.65), (CONFLUENT, 3.0)):
+        batch = transition_density(sf, u, E, SPEC)
+        assert batch.shape == E.shape
+        scalar = [transition_density(sf, u, float(e), SPEC) for e in E]
+        assert batch.tolist() == scalar
+    with pytest.raises(DomainError):
+        transition_density(PLAIN, 1.0, np.array([0.5, -1.0]), SPEC)
 
 
 def test_transition_density_rejects_nonpositive_intensity():
@@ -134,6 +142,15 @@ def test_overlap_bounded_by_one():
         z2 = complex(rng.uniform(0.1, 1.2), rng.uniform(-1.0, 1.0))
         val = overlap_continuous(CONFLUENT, z1, z2, SPEC)
         assert abs(val) <= 1.0 + 1e-10
+
+
+def test_overlap_of_large_labels_does_not_overflow():
+    # |z|^2 + |z'|^2 > 709.8: the normalizers' product overflows a double,
+    # while for the plain family |<z|z'>| ~ exp(-|z - z'|^2 / 2).
+    near = overlap_continuous(PLAIN, 19.0, 18.9, SPEC)
+    assert near == pytest.approx(0.99501247919, rel=1e-9)
+    off = overlap_continuous(PLAIN, 20.0, 19.0 + 1.0j, SPEC)
+    assert abs(off) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_overlap_rejects_zero_label():
