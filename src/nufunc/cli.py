@@ -27,7 +27,7 @@ import numpy as np
 from .doot import MatrixElementQuery, parse_expression, scalarize
 from .errors import DomainError, NuFuncError, ParseError
 from .identities import reports_to_json, run_suite, suite_passed
-from .coherent import _overlap_detailed, poisson_density_discrete, transition_density
+from .coherent import _density_detailed, _overlap_detailed, poisson_density_discrete
 from .nu import (
     HyperParams,
     StructureFn,
@@ -173,10 +173,10 @@ def _eval_rows(args, parser) -> list:
         if args.zsq is None:
             parser.error("--zsq is required for 'density'")
         sf = _family(args)
-        norm = nu_general_detailed(sf, float(args.zsq), spec)
-        norm_val = complex(norm.value).real
         energies = inputs(args.E, "--E")
-        for e_val, v in zip(energies, transition_density(sf, float(args.zsq), energies, spec)):
+        dens, norm = _density_detailed(sf, float(args.zsq), energies, spec)
+        norm_val = complex(norm.value).real
+        for e_val, v in zip(energies, dens):
             rows.append((e_val, v, 0.0, abs(v) * norm.error_estimate / norm_val))
     elif fn == "poisson":
         if args.zsq is None:

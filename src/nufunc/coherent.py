@@ -111,6 +111,12 @@ def transition_density(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
     (|z|^2)^E / rho(E) / nu(|z|^2).  Integrates to 1 over E.  For an
     array E the normalizer is integrated once, and each entry equals the
     scalar call at that energy."""
+    return _density_detailed(sf, z_mod_sq, E, spec)[0]
+
+
+def _density_detailed(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
+    """(density, normalizer IntegrationResult) from one integral of
+    nu(|z|^2); the CLI's error column comes from the same normalizer."""
     z_mod_sq = float(z_mod_sq)
     if z_mod_sq < 0.0:
         raise DomainError(f"squared modulus must be >= 0, got {z_mod_sq}")
@@ -119,12 +125,13 @@ def transition_density(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
     energies = np.asarray(E, dtype=float)
     if np.any(energies < 0):
         raise DomainError(f"energy must be >= 0, got {energies[energies < 0][0]}")
-    norm = nu_general(sf, z_mod_sq, spec).real
+    res = nu_general_detailed(sf, z_mod_sq, spec)
+    norm = res.value.real
     if not (norm > 0.0):
         raise DomainError("integral normalizer is not positive")
     log_u = math.log(z_mod_sq)
     dens = [math.exp(e * log_u - rho_continuous(sf, e).log_abs) / norm for e in energies.flat]
-    return np.reshape(dens, energies.shape) if energies.ndim else dens[0]
+    return (np.reshape(dens, energies.shape) if energies.ndim else dens[0]), res
 
 
 def poisson_density_discrete(z_mod_sq: float, n: int) -> float:

@@ -27,7 +27,6 @@ a-list/b-list are comma-separated positive reals and may be empty.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from dataclasses import dataclass
 

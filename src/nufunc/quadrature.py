@@ -1,11 +1,18 @@
 """Deterministic quadrature over [0, inf) and over the complex plane in polar form.
 
 The central engine is an adaptive composite Gauss-Legendre rule (15-point
-panels, recursive bisection) that integrates vector-valued integrands: all
-components share one panel tree, each panel is accepted only when the
-whole-vs-halves discrepancy fits inside a width-proportional error budget,
-and the final sum runs over panels sorted by interval start so results are
-bit-for-bit reproducible regardless of evaluation order.
+panels, bisection) that integrates vector-valued integrands: all components
+share one panel tree, each panel is accepted only when the whole-vs-halves
+discrepancy fits inside a width-proportional error budget, and the final sum
+runs over panels sorted by interval start so results are bit-for-bit
+reproducible regardless of evaluation order.
+
+Refinement is breadth-first.  Each level tests every open panel against its
+two halves, and the halves of the whole level share integrand calls.  A
+first call on one coarse panel gives the integrand's output width; after it
+each call carries at most `_CALL_VALUES` values (nodes times width), and at
+least one panel.  The bound matters for nested integrands, whose outer nodes
+become the components of an inner batch.
 
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the peak of
 the log-integrand is bracketed by golden-section search and the domain is cut
@@ -37,6 +44,10 @@ _LOG_DROP = 100.0 * math.log(10.0)
 # Hard ceiling for truncation searches.
 _TRUNCATION_CLAMP = 1e6
 _MAX_DEPTH = 60
+# Values (nodes times output width) one integrand call may carry.  Level-wide
+# calls of a nested integrand turn outer nodes into inner batch components,
+# so without this bound a call's arrays would grow with the whole level.
+_CALL_VALUES = 4096
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -185,18 +196,31 @@ def locate_peak(log_integrand, hint) -> IntegrandProbe:
     )
 
 
-def _panel_value(f, a, b):
-    """15-point Gauss-Legendre estimate of the integral of f over [a, b].
+def _panel_values(f, a, b, per_call):
+    """15-point Gauss-Legendre estimates of the integral of f over each panel
+    [a[k], b[k]], from calls of f on the nodes of at most `per_call` panels.
 
-    f maps a node array (15,) to values of shape (15,) or (15, m).
+    f maps a node array (n,) to values of shape (n,) or (n, m).
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid + half * _GL_NODES
-    y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        raise NonFinite(f"integrand returned non-finite values on [{a:.6g}, {b:.6g}]")
-    return half * np.tensordot(_GL_WEIGHTS, y, axes=(0, 0))
+    x = mid[:, None] + half[:, None] * _GL_NODES
+    out = []
+    for s in range(0, a.size, per_call):
+        nodes = x[s : s + per_call]
+        y = np.asarray(f(nodes.ravel()))
+        y = y.reshape(nodes.shape + y.shape[1:])
+        finite = np.isfinite(y).all(axis=tuple(range(1, y.ndim)))
+        if not finite.all():
+            k = s + int(np.argmin(finite))
+            raise NonFinite(
+                f"integrand returned non-finite values on [{a[k]:.6g}, {b[k]:.6g}]"
+            )
+        for k in range(len(y)):
+            out.append(half[s + k] * np.tensordot(_GL_WEIGHTS, y[k], axes=(0, 0)))
+    return out
 
 
 def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
@@ -236,7 +260,11 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     meaningful accuracy target is absolute on the common envelope.
     """
     bounds = _initial_boundaries(probe, max_panel_width)
-    coarse = [_panel_value(f, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    # The first panel alone tells the integrand's output width, which sets
+    # how many panels later calls may carry.
+    coarse = _panel_values(f, bounds[:1], bounds[1:2], 1)
+    per_call = max(_CALL_VALUES // (_GL_NODES.size * max(np.size(coarse[0]), 1)), 1)
+    coarse += _panel_values(f, bounds[1:-1], bounds[2:], per_call)
     scale = np.abs(coarse[0])
     for c in coarse[1:]:
         scale = scale + np.abs(c)
@@ -251,28 +279,36 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
 
     T = probe.truncation_point
     accepted = []
-    state = {"count": len(coarse), "starved": False}
-
-    def recurse(a, b, whole, depth):
-        width = b - a
+    count = len(coarse)
+    starved = False
+    # Breadth-first: each pass tests every open panel [lo, hi] of one level
+    # against its two halves, and all the halves share integrand calls.
+    lo, hi, whole = bounds[:-1], bounds[1:], coarse
+    depth = 0
+    while lo:
+        a = np.array(lo)
+        b = np.array(hi)
         mid = 0.5 * (a + b)
-        left = _panel_value(f, a, mid)
-        right = _panel_value(f, mid, b)
-        refined = left + right
-        err = np.abs(whole - refined)
-        budget = np.maximum(total_budget * (width / T), budget_floor)
-        within = bool(np.all(err <= budget))
-        if within or depth >= _MAX_DEPTH or state["count"] >= spec.max_panels:
-            if not within:
-                state["starved"] = True
-            accepted.append((a, refined, err))
-            return
-        state["count"] += 2
-        recurse(a, mid, left, depth + 1)
-        recurse(mid, b, right, depth + 1)
-
-    for (a, b), whole in zip(zip(bounds[:-1], bounds[1:]), coarse):
-        recurse(a, b, whole, 0)
+        halves = _panel_values(
+            f, np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel(), per_call
+        )
+        next_lo, next_hi, next_whole = [], [], []
+        for k, m in enumerate(mid.tolist()):
+            left, right = halves[2 * k], halves[2 * k + 1]
+            refined = left + right
+            err = np.abs(whole[k] - refined)
+            budget = np.maximum(total_budget * ((hi[k] - lo[k]) / T), budget_floor)
+            within = bool(np.all(err <= budget))
+            if within or depth >= _MAX_DEPTH or count >= spec.max_panels:
+                starved = starved or not within
+                accepted.append((lo[k], refined, err))
+            else:
+                count += 2
+                next_lo += [lo[k], m]
+                next_hi += [m, hi[k]]
+                next_whole += [left, right]
+        lo, hi, whole = next_lo, next_hi, next_whole
+        depth += 1
 
     accepted.sort(key=lambda item: item[0])
     total = accepted[0][1]
@@ -281,10 +317,9 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
         total = total + v
         err_total = err_total + e
 
-    if state["starved"]:
+    if starved:
         raise ToleranceNotMet(
-            f"panel budget exhausted ({state['count']} panels, "
-            f"max {spec.max_panels})",
+            f"panel budget exhausted ({count} panels, max {spec.max_panels})",
             estimate=total,
             error_bound=err_total,
         )

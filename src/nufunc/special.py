@@ -72,37 +72,36 @@ _LANCZOS_NUM_REV = tuple(reversed(_LANCZOS_NUM))
 _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
 
 
+def _rational(num, den, t):
+    """Horner evaluation of num(t) / den(t), coefficients highest first."""
+    p = np.full_like(t, num[0])
+    q = np.full_like(t, den[0])
+    for c in num[1:]:
+        p *= t
+        p += c
+    for c in den[1:]:
+        q *= t
+        q += c
+    return p / q
+
+
 def _lanczos_sum_scaled(x):
     """Evaluate the scaled Lanczos rational at x > 0 (array-capable).
 
     For x >= 1 the polynomials are evaluated in 1/x so the Horner recursion
-    stays well conditioned for large arguments.
+    stays well conditioned for large arguments; below 1 they are evaluated
+    in x directly.  Each node runs only the branch it needs.
     """
     x = np.asarray(x, dtype=float)
     big = x >= 1.0
-
-    # Branch 1: Horner in u = 1/x (both polynomials share the x^12 scaling,
-    # so the ratio is unchanged and the recursion is stable for large x).
-    u = 1.0 / np.where(big, x, 1.0)
-    num_u = np.zeros_like(u)
-    for c in reversed(_LANCZOS_NUM):
-        num_u = num_u * u + c
-    den_u = np.zeros_like(u)
-    for c in reversed(_LANCZOS_DEN):
-        den_u = den_u * u + c
-    ratio_big = num_u / den_u
-
-    # Branch 2: direct Horner in x for 0 < x < 1.
-    xs = np.where(big, 1.0, x)
-    num_x = np.zeros_like(xs)
-    den_x = np.zeros_like(xs)
-    for c in _LANCZOS_NUM:
-        num_x = num_x * xs + c
-    for c in _LANCZOS_DEN:
-        den_x = den_x * xs + c
-    ratio_small = num_x / den_x
-
-    return np.where(big, ratio_big, ratio_small)
+    # Both polynomials share the x^12 scaling, so the ratio is unchanged.
+    if big.all():
+        return _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x)
+    out = np.empty_like(x)
+    out[big] = _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x[big])
+    small = ~big
+    out[small] = _rational(_LANCZOS_NUM, _LANCZOS_DEN, x[small])
+    return out
 
 
 def _log_gamma_scalar(x: float) -> float:

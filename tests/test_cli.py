@@ -138,7 +138,7 @@ def test_one_normalizer_per_answer(capsys, monkeypatch):
     monkeypatch.setattr(nu_module, "_nu_integral", counted)
     code, out, _ = run_cli(capsys, "table", "density", "--zsq", "2.5", "--grid", "0:9:20")
     assert code == 0 and len(out.strip().splitlines()) == 21
-    assert len(calls) <= 2
+    assert len(calls) == 1
     calls.clear()
     code, _, _ = run_cli(capsys, "eval", "overlap", "--bra", "0.5", "--ket", "0.2+0.1i")
     assert code == 0 and len(calls) == 3

@@ -17,7 +17,6 @@ from nufunc import (
     integrate_semi_infinite,
     kp_coefficient,
     locate_peak,
-    nu_general,
     overlap_continuous,
     poisson_density_discrete,
     transition_density,

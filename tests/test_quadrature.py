@@ -1,14 +1,22 @@
 """Unit tests for the adaptive semi-infinite quadrature engine."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from nufunc import nu
 from nufunc.errors import NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
+    _CALL_VALUES,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _MAX_DEPTH,
     IntegrandProbe,
     QuadSpec,
+    _initial_boundaries,
+    _integrate_adaptive,
     integrate_polar_2d,
     integrate_semi_infinite,
     integrate_semi_infinite_detailed,
@@ -147,14 +155,162 @@ def test_polar_2d_radial_phase_coupling():
     assert val.real == pytest.approx(0.5, rel=1e-10)
 
 
+def _log_singular(t):
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 1.0, -np.log(t), (t - 1.0) * np.exp(1.0 - t))
+
+
 def test_endpoint_log_singularity_is_absorbed():
     # d/dt of t*(1 - ln t) = -ln t: infinite derivative at 0 exercises the
     # fixed-slice budget floor; integral of -ln t over [0,1] = 1, and beyond
     # 1 the test integrand is cut smoothly by e^(1-t).
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, -np.log(t), (t - 1.0) * np.exp(1.0 - t))
-
     probe = IntegrandProbe(peak_location=0.0, truncation_point=250.0, peak_log_value=0.0)
-    val = integrate_semi_infinite(f, probe, SPEC)
+    val = integrate_semi_infinite(_log_singular, probe, SPEC)
     assert val.real == pytest.approx(2.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Breadth-first engine against the depth-first reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False):
+    """The depth-first engine: one integrand call per panel, recursing on
+    each panel's halves before moving to the next.  Kept as the reference
+    the breadth-first engine must reproduce bit for bit."""
+
+    def panel_value(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        y = np.asarray(f(mid + half * _GL_NODES))
+        assert np.all(np.isfinite(y))
+        return half * np.tensordot(_GL_WEIGHTS, y, axes=(0, 0))
+
+    bounds = _initial_boundaries(probe, max_panel_width)
+    coarse = [panel_value(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    scale = np.abs(coarse[0])
+    for c in coarse[1:]:
+        scale = scale + np.abs(c)
+    if shared_scale:
+        scale = np.maximum(scale, np.max(scale))
+    total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
+    budget_floor = total_budget / 1024.0
+    T = probe.truncation_point
+    accepted = []
+    state = {"count": len(coarse), "starved": False}
+
+    def recurse(a, b, whole, depth):
+        mid = 0.5 * (a + b)
+        left = panel_value(a, mid)
+        right = panel_value(mid, b)
+        refined = left + right
+        err = np.abs(whole - refined)
+        budget = np.maximum(total_budget * ((b - a) / T), budget_floor)
+        within = bool(np.all(err <= budget))
+        if within or depth >= _MAX_DEPTH or state["count"] >= spec.max_panels:
+            state["starved"] |= not within
+            accepted.append((a, refined, err))
+            return
+        state["count"] += 2
+        recurse(a, mid, left, depth + 1)
+        recurse(mid, b, right, depth + 1)
+
+    for (a, b), whole in zip(zip(bounds[:-1], bounds[1:]), coarse):
+        recurse(a, b, whole, 0)
+    assert not state["starved"]
+    accepted.sort(key=lambda item: item[0])
+    total, err_total = accepted[0][1], accepted[0][2]
+    for _, v, e in accepted[1:]:
+        total = total + v
+        err_total = err_total + e
+    return total, err_total, len(accepted)
+
+
+def _bump(t):
+    # Panels around the bump are accepted at several levels, so the sum
+    # order depends on sorting them by position.
+    return np.exp(-t) + np.exp(-(((t - 1.7) / 0.2) ** 2))
+
+
+def _nu_engine_call(w):
+    """The integrand, probe and panel cap that nu(w) hands the engine."""
+    nu_module = importlib.import_module("nufunc.nu")
+    seen = []
+
+    def capture(f, probe, spec, max_panel_width=None):
+        seen.append((f, probe, max_panel_width))
+        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(nu_module, "integrate_semi_infinite_detailed", capture)
+    try:
+        nu(w, SPEC)
+    finally:
+        mp.undo()
+    (call,) = seen
+    return call
+
+
+def _three_components(t):
+    return np.stack([np.exp(-t), 1e-6 * t * np.exp(-t), np.exp(-3.0 * t) * np.sin(t)], axis=-1)
+
+
+_EXP_PROBE = IntegrandProbe(
+    peak_location=0.0, truncation_point=100.0 * math.log(10.0), peak_log_value=0.0
+)
+_OSC_PROBE = IntegrandProbe(peak_location=0.0, truncation_point=300.0, peak_log_value=0.0)
+
+# name -> () -> (integrand, probe, max_panel_width, shared_scale)
+_ENGINE_CASES = {
+    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None, False),
+    "vector": lambda: (_three_components, _EXP_PROBE, None, False),
+    "vector-shared": lambda: (_three_components, _EXP_PROBE, None, True),
+    "oscillatory-capped": lambda: (
+        lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0, False
+    ),
+    "log-singular": lambda: (
+        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None, False
+    ),
+    "bump": lambda: (_bump, _EXP_PROBE, None, False),
+    "nu(1)": lambda: _nu_engine_call(1.0) + (False,),
+    "nu(2+3j)": lambda: _nu_engine_call(2.0 + 3.0j) + (False,),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_CASES))
+def test_breadth_first_engine_matches_depth_first_reference(name):
+    f, probe, width, shared = _ENGINE_CASES[name]()
+    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, shared_scale=shared)
+    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, shared_scale=shared)
+    for g, r in zip(got[:2], ref[:2]):
+        assert np.asarray(g).dtype == np.asarray(r).dtype
+        assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+    assert got[2] == ref[2]
+
+
+def test_wide_integrand_calls_respect_the_value_bound():
+    nodes = []
+    rates = 1.0 + np.arange(64) / 8.0
+
+    def f(t):
+        nodes.append(t.size)
+        return np.exp(-t[:, None] * rates) * np.cos(t)[:, None]
+
+    vals, _, _ = integrate_vector_semi_infinite(f, _EXP_PROBE, SPEC, shared_scale=False)
+    exact = rates / (rates**2 + 1.0)
+    assert np.allclose(np.real(vals), exact, rtol=1e-10)
+    per_call = _CALL_VALUES // (15 * 64)
+    assert nodes[0] == 15
+    assert len(nodes) > 2 and max(nodes[1:]) <= 15 * per_call
+
+
+def test_nu_of_one_makes_few_integrand_calls():
+    f, probe, width = _nu_engine_call(1.0)
+    calls = []
+
+    def counted(E):
+        calls.append(E.size)
+        return f(E)
+
+    _integrate_adaptive(counted, probe, SPEC, max_panel_width=width)
+    assert len(calls) <= 6

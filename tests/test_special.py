@@ -37,6 +37,20 @@ def test_log_gamma_matches_reference_library_on_grid():
     assert np.allclose(log_gamma(x), sp.gammaln(x), rtol=1e-12, atol=1e-12)
 
 
+def test_log_gamma_mixed_branches_match_each_part_alone():
+    # Nodes below and above 1 take different Horner branches; a mixed array
+    # must give, bit for bit, what each part gives alone.
+    rng = np.random.default_rng(7)
+    x = np.concatenate(
+        [rng.uniform(1e-8, 1.0, 500), rng.uniform(1.0, 1e6, 500), [1.0, np.nextafter(1.0, 0.0)]]
+    )
+    rng.shuffle(x)
+    small = x < 1.0
+    mixed = log_gamma(x)
+    assert mixed[small].tobytes() == log_gamma(x[small]).tobytes()
+    assert mixed[~small].tobytes() == log_gamma(x[~small]).tobytes()
+
+
 def test_log_gamma_rejects_nonpositive_and_nonfinite():
     with pytest.raises(DomainError):
         log_gamma(0.0)
