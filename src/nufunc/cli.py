@@ -110,7 +110,7 @@ def _rows_text(rows, fmt: str) -> str:
 
 
 def _eval_rows(args, parser) -> list:
-    spec = QuadSpec(rel_tol=args.tol) if args.tol else QuadSpec()
+    spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
     fn = args.function
 
     def inputs(default_flag, flag_name):
@@ -203,7 +203,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_doot(args, parser) -> int:
-    spec = QuadSpec(rel_tol=args.tol) if args.tol else QuadSpec()
+    spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
     z = parse_complex_literal(args.z) if args.z is not None else None
 
     def label(text, flag):

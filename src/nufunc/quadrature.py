@@ -48,6 +48,8 @@ _MAX_DEPTH = 60
 # calls of a nested integrand turn outer nodes into inner batch components,
 # so without this bound a call's arrays would grow with the whole level.
 _CALL_VALUES = 4096
+# Angles of the polar trapezoid rule.
+_ANGULAR_POINTS = 64
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -59,15 +61,12 @@ class QuadSpec:
     rel_tol: float = 1e-10
     abs_floor: float = 1e-300
     max_panels: int = 4000
-    angular_points: int = 64
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ValueError("QuadSpec.rel_tol must be > 0")
         if self.max_panels < 4:
             raise ValueError("QuadSpec.max_panels must be >= 4")
-        if self.angular_points < 8 or self.angular_points % 2 != 0:
-            raise ValueError("QuadSpec.angular_points must be even and >= 8")
         if not (self.abs_floor >= 0.0):
             raise ValueError("QuadSpec.abs_floor must be >= 0")
 
@@ -362,11 +361,11 @@ def integrate_polar_2d(g, spec: QuadSpec) -> complex:
     """Integrate g(|z|^2, phi) over the complex plane with measure d^2z/pi.
 
     d^2z/pi = d(|z|^2) * dphi/(2*pi): a uniform trapezoid rule over
-    `spec.angular_points` angles (spectrally accurate for smooth periodic
+    `_ANGULAR_POINTS` angles (spectrally accurate for smooth periodic
     integrands) composed with the adaptive radial engine, all angles sharing
     one panel tree.  `g` must be vectorized in its first argument.
     """
-    n_phi = spec.angular_points
+    n_phi = _ANGULAR_POINTS
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
     def stacked(t):

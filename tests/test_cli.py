@@ -316,3 +316,14 @@ def test_doot_byte_identical_runs(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_zero_tolerance_is_usage_error(capsys):
+    # --tol 0 reaches QuadSpec like any other value instead of meaning "unset"
+    for argv in (
+        ("eval", "nu", "--z", "1", "--tol", "0"),
+        ("doot", "--expr", "1", "--bra", "0.5", "--ket", "0.5", "--tol", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage error: QuadSpec.rel_tol must be > 0" in err

@@ -1,9 +1,12 @@
 """Tests for the closed-form identity registry and its report plumbing."""
 
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate, special
 
 from nufunc import (
     DomainError,
@@ -24,6 +27,7 @@ from nufunc import (
     run_suite,
     suite_passed,
 )
+from nufunc.identities import _angular_kernel
 
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
@@ -127,6 +131,62 @@ def test_planar_gaussian_check_zero_argument_shortcut():
 def test_planar_gaussian_check_rejects_large_modulus():
     with pytest.raises(DomainError):
         check_complex_gaussian(1.5, 0.5)
+
+
+def _phase_average(g, E, F):
+    # (1/2pi) * integral over phi of the principal phases of (x z)^E and
+    # (y conj z)^F, with arg x = arg y = g/2, split at both branch points.
+    th = 0.5 * g
+
+    def phase(phi):
+        u = cmath.phase(cmath.exp(1j * (th + phi)))
+        v = cmath.phase(cmath.exp(1j * (th - phi)))
+        return cmath.exp(1j * (E * u + F * v))
+
+    cuts = {float(np.mod(math.pi - th, 2 * math.pi)), float(np.mod(th - math.pi, 2 * math.pi))}
+    points = sorted(cuts - {0.0})
+    parts = [
+        integrate.quad(lambda p: part(phase(p)), 0.0, 2 * math.pi, points=points,
+                       epsabs=1e-13, epsrel=0.0, limit=200)[0]
+        for part in (lambda c: c.real, lambda c: c.imag)
+    ]
+    return complex(*parts) / (2 * math.pi)
+
+
+def test_angular_kernel_matches_phase_average():
+    F = 0.7
+    for g in (0.0, 0.6, -0.6, math.pi / 2, -math.pi / 2, math.pi):
+        for d in (0.0, 1e-9, 1.4, 4.9):
+            k = complex(_angular_kernel(g, F + d, F))
+            assert abs(k - _phase_average(g, F + d, F)) <= 1e-13, (g, d)
+
+
+def _reduction_dblquad(x, y):
+    lx, ly = math.log(x), math.log(y)
+
+    def f(F, E):
+        return math.exp(
+            E * lx + F * ly + special.gammaln(1.0 + 0.5 * (E + F))
+            - special.gammaln(1.0 + E) - special.gammaln(1.0 + F)
+        ) * np.sinc(E - F)
+
+    return integrate.dblquad(f, 0.0, 60.0, 0.0, 60.0, epsabs=1e-11, epsrel=1e-10)[0]
+
+
+def test_planar_gaussian_lhs_matches_real_reduction():
+    for x, y in ((0.3, 0.5), (0.5, 0.5)):
+        r = check_complex_gaussian(x, y)
+        assert r.lhs.imag == 0.0
+        assert r.lhs.real == pytest.approx(_reduction_dblquad(x, y), rel=1e-8)
+        assert not r.passed  # the identity's own residual, far above 1e-4
+
+
+def test_planar_gaussian_lhs_label_symmetries():
+    x, y = 0.3 + 0.2j, 0.5
+    lhs = check_complex_gaussian(x, y).lhs
+    assert check_complex_gaussian(y, x).lhs == pytest.approx(lhs, rel=1e-12)
+    conj = check_complex_gaussian(x.conjugate(), y.conjugate()).lhs
+    assert conj == pytest.approx(lhs.conjugate(), rel=1e-12)
 
 
 def test_derivative_relation_first_and_second():

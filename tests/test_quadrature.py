@@ -33,10 +33,6 @@ def test_quadspec_validation():
     with pytest.raises(ValueError):
         QuadSpec(max_panels=2)
     with pytest.raises(ValueError):
-        QuadSpec(angular_points=7)
-    with pytest.raises(ValueError):
-        QuadSpec(angular_points=6)
-    with pytest.raises(ValueError):
         QuadSpec(abs_floor=-1.0)
 
 
