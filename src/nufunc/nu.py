@@ -223,8 +223,8 @@ def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
         return np.where(sign[col] == 0.0, 0.0, vals)
 
     def log_mod(E):
-        log_abs, _ = reciprocal_gamma_log_signed(np.array([alpha + E + 1.0]))
-        return (alpha + E) * log_r + float(log_abs[0])
+        log_abs, _ = reciprocal_gamma_log_signed(alpha + E + 1.0)
+        return (alpha + E) * log_r + log_abs
 
     # Keep the peak search to the right of the last zero of 1/Gamma.
     hint = max(_peak_hint(log_r) - alpha, -alpha - 1.0 + 1.5, 0.05)

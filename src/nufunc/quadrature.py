@@ -14,6 +14,12 @@ each call carries at most `_CALL_VALUES` values (nodes times width), and at
 least one panel.  The bound matters for nested integrands, whose outer nodes
 become the components of an inner batch.
 
+The bookkeeping runs on whole levels as arrays: each call's panel sums are
+one stacked weights-times-values product, and the acceptance test, the panel
+cap and the final position-ordered sum each run over a level at once.  Both
+the stacked product and the cumulative sums add in the same order as a
+per-panel loop would, so results are bit-identical to it.
+
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the peak of
 the log-integrand is bracketed by golden-section search and the domain is cut
 where the log-value has dropped 100*ln(10) below the peak, far beneath any
@@ -199,14 +205,15 @@ def _panel_values(f, a, b, per_call):
     """15-point Gauss-Legendre estimates of the integral of f over each panel
     [a[k], b[k]], from calls of f on the nodes of at most `per_call` panels.
 
-    f maps a node array (n,) to values of shape (n,) or (n, m).
+    f maps a node array (n,) to values of shape (n,) or (n, m); the result
+    has shape (P,) or (P, m) for P panels.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _GL_NODES
-    out = []
+    sums = []
     for s in range(0, a.size, per_call):
         nodes = x[s : s + per_call]
         y = np.asarray(f(nodes.ravel()))
@@ -217,9 +224,14 @@ def _panel_values(f, a, b, per_call):
             raise NonFinite(
                 f"integrand returned non-finite values on [{a[k]:.6g}, {b[k]:.6g}]"
             )
-        for k in range(len(y)):
-            out.append(half[s + k] * np.tensordot(_GL_WEIGHTS, y[k], axes=(0, 0)))
-    return out
+        # A stack of (1, 15) @ (15, m) products adds each panel's terms in
+        # the order a per-panel tensordot does; `y @ w` and einsum do not.
+        # BLAS sums strided operands in another order, hence the C layout.
+        shape = y.shape[:1] + y.shape[2:]
+        y = np.ascontiguousarray(y).reshape(len(y), _GL_NODES.size, -1)
+        sums.append(np.matmul(_GL_WEIGHTS[None, :], y).reshape(shape))
+    sums = np.concatenate(sums)
+    return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
 
 
 def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
@@ -258,15 +270,14 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     when the components are phases of one oscillatory family and the
     meaningful accuracy target is absolute on the common envelope.
     """
-    bounds = _initial_boundaries(probe, max_panel_width)
+    bounds = np.array(_initial_boundaries(probe, max_panel_width))
     # The first panel alone tells the integrand's output width, which sets
     # how many panels later calls may carry.
-    coarse = _panel_values(f, bounds[:1], bounds[1:2], 1)
-    per_call = max(_CALL_VALUES // (_GL_NODES.size * max(np.size(coarse[0]), 1)), 1)
-    coarse += _panel_values(f, bounds[1:-1], bounds[2:], per_call)
-    scale = np.abs(coarse[0])
-    for c in coarse[1:]:
-        scale = scale + np.abs(c)
+    first = _panel_values(f, bounds[:1], bounds[1:2], 1)
+    per_call = max(_CALL_VALUES // (_GL_NODES.size * max(first[0].size, 1)), 1)
+    coarse = np.concatenate([first, _panel_values(f, bounds[1:-1], bounds[2:], per_call)])
+    # Cumulative sums fold left to right, exactly as a loop of `+` does.
+    scale = np.cumsum(np.abs(coarse), axis=0)[-1]
     if shared_scale:
         scale = np.maximum(scale, np.max(scale))
     total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
@@ -277,44 +288,43 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     budget_floor = total_budget / 1024.0
 
     T = probe.truncation_point
-    accepted = []
     count = len(coarse)
     starved = False
+    # (start, value, error) arrays of the panels each level accepts.
+    done = []
     # Breadth-first: each pass tests every open panel [lo, hi] of one level
     # against its two halves, and all the halves share integrand calls.
     lo, hi, whole = bounds[:-1], bounds[1:], coarse
     depth = 0
-    while lo:
-        a = np.array(lo)
-        b = np.array(hi)
-        mid = 0.5 * (a + b)
+    while lo.size:
+        mid = 0.5 * (lo + hi)
         halves = _panel_values(
-            f, np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel(), per_call
+            f, np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel(), per_call
         )
-        next_lo, next_hi, next_whole = [], [], []
-        for k, m in enumerate(mid.tolist()):
-            left, right = halves[2 * k], halves[2 * k + 1]
-            refined = left + right
-            err = np.abs(whole[k] - refined)
-            budget = np.maximum(total_budget * ((hi[k] - lo[k]) / T), budget_floor)
-            within = bool(np.all(err <= budget))
-            if within or depth >= _MAX_DEPTH or count >= spec.max_panels:
-                starved = starved or not within
-                accepted.append((lo[k], refined, err))
-            else:
-                count += 2
-                next_lo += [lo[k], m]
-                next_hi += [m, hi[k]]
-                next_whole += [left, right]
-        lo, hi, whole = next_lo, next_hi, next_whole
+        left, right = halves[0::2], halves[1::2]
+        refined = left + right
+        err = np.abs(whole - refined)
+        width = ((hi - lo) / T).reshape((-1,) + (1,) * (err.ndim - 1))
+        budget = np.maximum(total_budget * width, budget_floor)
+        within = (err <= budget).reshape(lo.size, -1).all(axis=1)
+        # Failing panels split in order, two new panels each, while the
+        # count is under the cap: the first ceil((cap - count) / 2) of them.
+        room = 0 if depth >= _MAX_DEPTH else max(-((count - spec.max_panels) // 2), 0)
+        split = ~within & (np.cumsum(~within) <= room)
+        count += 2 * int(np.count_nonzero(split))
+        keep = ~split
+        starved = starved or not within[keep].all()
+        done.append((lo[keep], refined[keep], err[keep]))
+        edges = np.stack([lo, mid, hi], 1)[split]
+        lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
+        whole = np.stack([left[split], right[split]], 1).reshape((-1,) + left.shape[1:])
         depth += 1
 
-    accepted.sort(key=lambda item: item[0])
-    total = accepted[0][1]
-    err_total = accepted[0][2]
-    for _, v, e in accepted[1:]:
-        total = total + v
-        err_total = err_total + e
+    starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(starts, kind="stable")
+    # Copies, so the results do not keep the whole cumulative sums alive.
+    total = np.cumsum(values[order], axis=0)[-1].copy()
+    err_total = np.cumsum(errors[order], axis=0)[-1].copy()
 
     if starved:
         raise ToleranceNotMet(
@@ -322,7 +332,7 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
             estimate=total,
             error_bound=err_total,
         )
-    return total, err_total, len(accepted)
+    return total, err_total, starts.size
 
 
 def integrate_semi_infinite_detailed(

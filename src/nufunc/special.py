@@ -104,8 +104,13 @@ def _lanczos_sum_scaled(x):
     return out
 
 
-def _log_gamma_scalar(x: float) -> float:
-    """Pure-scalar log-gamma; the hot path for peak searches and probes."""
+def _log_gamma_scalar(x: float, log=math.log) -> float:
+    """Pure-scalar log-gamma; the hot path for peak searches and probes.
+
+    With `log=np.log` the result equals the array path bit for bit: numpy's
+    vectorized log and the C library's differ in the last bit on about 0.1%
+    of arguments.
+    """
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x >= 1.0:
@@ -124,7 +129,7 @@ def _log_gamma_scalar(x: float) -> float:
         for c in _LANCZOS_DEN:
             den = den * x + c
     base = x + (_LANCZOS_G - 0.5)
-    return (x - 0.5) * (math.log(base) - 1.0) + math.log(num / den)
+    return (x - 0.5) * (log(base) - 1.0) + log(num / den)
 
 
 def log_gamma(x):
@@ -185,22 +190,34 @@ def reciprocal_gamma_log_signed(x):
     """(log magnitude, sign) of 1/Gamma(x) for any finite real x (array-capable).
 
     Zeros are reported as (-inf, 0.0).  Used by integrands that must stay in
-    log scale; the linear-scale `reciprocal_gamma` is a thin wrapper over the
-    same branches.
+    log scale.  Each element runs only its own branch: -log Gamma(x) for
+    x > 0, the reflection form otherwise.  A scalar comes back as a pair of
+    floats, equal bit for bit to the array path's elements.
     """
+    if np.isscalar(x) or np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"reciprocal_gamma_log_signed requires finite x, got {x!r}")
+        if x > 0.0:
+            return -float(_log_gamma_scalar(x, np.log)), 1.0
+        s = float(_sinpi(x))
+        if s == 0.0:
+            return -math.inf, 0.0
+        lg = _log_gamma_scalar(1.0 - x, np.log)
+        return float(np.log(abs(s)) - math.log(math.pi) + lg), math.copysign(1.0, s)
     arr = np.asarray(x, dtype=float)
     pos = arr > 0.0
-    safe_pos = np.where(pos, arr, 1.0)
-    log_pos = -log_gamma(safe_pos)
-
-    safe_neg = np.where(pos, 0.0, arr)
-    s = _sinpi(safe_neg)
+    if pos.all():
+        return -log_gamma(arr), np.ones_like(arr)
+    log_abs = np.empty_like(arr)
+    sign = np.ones_like(arr)
+    log_abs[pos] = -log_gamma(arr[pos])
+    neg = ~pos
+    xn = arr[neg]
+    s = _sinpi(xn)
     with np.errstate(divide="ignore"):
-        log_neg = np.log(np.abs(s)) - math.log(math.pi) + log_gamma(1.0 - safe_neg)
-    sign_neg = np.sign(s)
-
-    log_abs = np.where(pos, log_pos, log_neg)
-    sign = np.where(pos, 1.0, sign_neg)
+        log_abs[neg] = np.log(np.abs(s)) - math.log(math.pi) + log_gamma(1.0 - xn)
+    sign[neg] = np.sign(s)
     return log_abs, sign
 
 

@@ -17,6 +17,7 @@ from nufunc.quadrature import (
     QuadSpec,
     _initial_boundaries,
     _integrate_adaptive,
+    _panel_values,
     integrate_polar_2d,
     integrate_semi_infinite,
     integrate_semi_infinite_detailed,
@@ -310,3 +311,108 @@ def test_nu_of_one_makes_few_integrand_calls():
 
     _integrate_adaptive(counted, probe, SPEC, max_panel_width=width)
     assert len(calls) <= 6
+
+
+# ---------------------------------------------------------------------------
+# Stacked panel sums and the level-wide panel cap
+# ---------------------------------------------------------------------------
+
+
+def _columns(width, complex_values):
+    """An integrand with `width` components, or a scalar one for None."""
+    rates = 0.3 + np.arange(width or 1) / 7.0
+
+    def f(t):
+        y = np.exp(-t[:, None] * rates) * np.cos(t[:, None] * (1.0 + rates))
+        if complex_values:
+            y = y + 1j * np.sin(t[:, None] * rates) / (1.0 + t[:, None])
+        return y[:, 0] if width is None else y
+
+    return f
+
+
+@pytest.mark.parametrize("width", [None, 1, 3, 106])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("per_call", [1, 4, 7, 50])
+def test_panel_values_match_per_panel_tensordot(width, complex_values, per_call):
+    # 23 panels: per_call 4 and 7 leave a short last chunk.
+    a = np.cumsum(np.linspace(0.05, 1.3, 23)) - 0.05
+    b = a + np.linspace(0.04, 0.9, 23)
+    f = _columns(width, complex_values)
+    got = _panel_values(f, a, b, per_call)
+    ref = []
+    for ak, bk in zip(a, b):
+        mid, half = 0.5 * (ak + bk), 0.5 * (bk - ak)
+        ref.append(half * np.tensordot(_GL_WEIGHTS, f(mid + half * _GL_NODES), axes=(0, 0)))
+    ref = np.array(ref)
+    assert got.shape == ref.shape == ((23,) if width is None else (23, width))
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_nonfinite_names_first_bad_panel_of_a_later_chunk():
+    a = np.arange(10.0)
+    b = a + 1.0
+
+    def f(t):
+        # Panels 6 and 9 hold non-finite values; panel 6 is the third of
+        # the second chunk of four.
+        return np.where((t > 6.0) & (t < 7.0) | (t > 9.0), np.nan, np.exp(-t))
+
+    with pytest.raises(NonFinite, match=r"on \[6, 7\]"):
+        _panel_values(f, a, b, 4)
+
+
+def _three_rates(t):
+    return np.stack(
+        [np.exp(-t) * np.cos(11.0 * t), np.exp(-t) * np.sin(5.0 * t), np.exp(-2.0 * t)], axis=-1
+    )
+
+
+_STARVE_PROBE = IntegrandProbe(peak_location=1.0, truncation_point=60.0, peak_log_value=0.0)
+
+# name -> (integrand, probe, max_panels, message, estimate, error bound).
+# Figures of the per-panel engine.  A cap of 8 stops every split, as the 16
+# coarse panels already exceed it; a cap of 21 lets the first three failing
+# panels of the first level split; t^-0.5 stops at _MAX_DEPTH instead.
+_STARVED_CASES = {
+    "scalar-cap-8": (
+        lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 8,
+        "panel budget exhausted (16 panels, max 8)",
+        0.008196762000804008, 0.0002055472515828576,
+    ),
+    "vector-cap-8": (
+        _three_rates, _STARVE_PROBE, 8,
+        "panel budget exhausted (16 panels, max 8)",
+        [0.008196762000804, 0.19230769230295733, 0.49999999999999994],
+        [0.00020554725158283854, 5.005652319490281e-08, 4.683753632722323e-17],
+    ),
+    "scalar-cap-21": (
+        lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 21,
+        "panel budget exhausted (22 panels, max 21)",
+        0.008196721370631765, 6.851605958039797e-08,
+    ),
+    "vector-cap-21": (
+        _three_rates, _STARVE_PROBE, 21,
+        "panel budget exhausted (22 panels, max 21)",
+        [0.008196721370631758, 0.192307692307683, 0.5],
+        [6.85160595611879e-08, 4.761394443699135e-12, 4.689346453447153e-17],
+    ),
+    "depth-cap": (
+        lambda t: t**-0.5, IntegrandProbe(0.0, 1.0, 0.0), 4000,
+        "panel budget exhausted (133 panels, max 4000)",
+        1.9999999999994218, 2.397710340431376e-13,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_STARVED_CASES))
+def test_starved_engine_reports_pinned_figures(name):
+    f, probe, cap, message, estimate, error_bound = _STARVED_CASES[name]
+    with pytest.raises(ToleranceNotMet) as exc_info:
+        _integrate_adaptive(f, probe, QuadSpec(max_panels=cap))
+    exc = exc_info.value
+    assert str(exc) == message
+    assert np.asarray(exc.estimate).dtype == np.float64
+    assert np.asarray(exc.estimate).tolist() == estimate
+    assert np.asarray(exc.error_bound).tolist() == error_bound
