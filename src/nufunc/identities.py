@@ -38,7 +38,7 @@ from .quadrature import (
     integrate_vector_semi_infinite,
     locate_peak,
 )
-from .special import log_gamma
+from .special import _log_gamma_scalar, log_gamma
 
 __all__ = [
     "IdentityCase",
@@ -498,7 +498,7 @@ def check_formal_series_4_21(
         return np.exp(base[:, None] + ls[None, :] * np.log(E)[:, None])
 
     def log_top(E):
-        return L * math.log(E) - s * E - float(log_gamma(np.array([E + 1.0]))[0])
+        return L * math.log(E) - s * E - _log_gamma_scalar(E + 1.0, np.log)
 
     probe_e = locate_peak(log_top, hint=max(1.0, L / (s + 1.0)))
     moments, _, _ = integrate_vector_semi_infinite(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,24 +94,40 @@ class StructureFn:
     """Log-space evaluator for the structure function rho of one family."""
 
     params: HyperParams
+    # (entry, ln Gamma(entry)) for the lower entries b_j and the upper
+    # entries a_i, and the shifts (1, b_j..., a_i...) that E is added to.
+    _b_terms: tuple = field(init=False, repr=False, compare=False)
+    _a_terms: tuple = field(init=False, repr=False, compare=False)
+    _shifts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        b, a = self.params.b, self.params.a
+        object.__setattr__(self, "_b_terms", tuple((v, _log_gamma_scalar(v)) for v in b))
+        object.__setattr__(self, "_a_terms", tuple((v, _log_gamma_scalar(v)) for v in a))
+        object.__setattr__(self, "_shifts", np.array((1.0,) + b + a))
 
     def log_rho_continuous(self, E):
-        """ln rho(E) for E >= 0, vectorized over numpy arrays."""
+        """ln rho(E) for E >= 0, vectorized over numpy arrays.
+
+        One log_gamma call covers Gamma(1 + E), every Gamma(b_j + E) and
+        every Gamma(a_i + E).
+        """
         E = np.asarray(E, dtype=float)
-        out = log_gamma(E + 1.0)
-        for bj in self.params.b:
-            out = out + (log_gamma(bj + E) - log_gamma(bj))
-        for ai in self.params.a:
-            out = out - (log_gamma(ai + E) - log_gamma(ai))
+        lg = log_gamma(self._shifts.reshape((-1,) + (1,) * E.ndim) + E)
+        out = lg[0]
+        for k, (_, c) in enumerate(self._b_terms, 1):
+            out = out + (lg[k] - c)
+        for k, (_, c) in enumerate(self._a_terms, 1 + self.params.q):
+            out = out - (lg[k] - c)
         return out
 
     def log_rho_scalar(self, E: float) -> float:
         E = float(E)
         out = _log_gamma_scalar(E + 1.0)
-        for bj in self.params.b:
-            out += _log_gamma_scalar(bj + E) - _log_gamma_scalar(bj)
-        for ai in self.params.a:
-            out -= _log_gamma_scalar(ai + E) - _log_gamma_scalar(ai)
+        for bj, c in self._b_terms:
+            out += _log_gamma_scalar(bj + E) - c
+        for ai, c in self._a_terms:
+            out -= _log_gamma_scalar(ai + E) - c
         return out
 
 

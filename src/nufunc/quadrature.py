@@ -9,10 +9,12 @@ reproducible regardless of evaluation order.
 
 Refinement is breadth-first.  Each level tests every open panel against its
 two halves, and the halves of the whole level share integrand calls.  A
-first call on one coarse panel gives the integrand's output width; after it
-each call carries at most `_CALL_VALUES` values (nodes times width), and at
-least one panel.  The bound matters for nested integrands, whose outer nodes
-become the components of an inner batch.
+first call on one coarse panel gives the bytes the integrand makes per node
+(output width times item size); after it each call's output stays within
+`_CALL_BYTES`, except that a call always carries at least one panel, so an
+integrand whose single panel is larger than the bound gets one panel per
+call.  The bound matters for nested integrands, whose outer nodes become the
+components of an inner batch.
 
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked weights-times-values product, and the acceptance test, the panel
@@ -50,10 +52,11 @@ _LOG_DROP = 100.0 * math.log(10.0)
 # Hard ceiling for truncation searches.
 _TRUNCATION_CLAMP = 1e6
 _MAX_DEPTH = 60
-# Values (nodes times output width) one integrand call may carry.  Level-wide
-# calls of a nested integrand turn outer nodes into inner batch components,
-# so without this bound a call's arrays would grow with the whole level.
-_CALL_VALUES = 4096
+# Bytes of integrand output one call may produce, unless a single panel
+# needs more.  Level-wide calls of a nested integrand turn outer nodes into
+# inner batch components, so without this bound a call's arrays would grow
+# with the whole level.
+_CALL_BYTES = 128 * 1024
 # Angles of the polar trapezoid rule.
 _ANGULAR_POINTS = 64
 
@@ -271,10 +274,12 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     meaningful accuracy target is absolute on the common envelope.
     """
     bounds = np.array(_initial_boundaries(probe, max_panel_width))
-    # The first panel alone tells the integrand's output width, which sets
-    # how many panels later calls may carry.
+    # The first panel alone tells the bytes the integrand makes per node
+    # (output width times item size), which sets how many panels later calls
+    # may carry.
     first = _panel_values(f, bounds[:1], bounds[1:2], 1)
-    per_call = max(_CALL_VALUES // (_GL_NODES.size * max(first[0].size, 1)), 1)
+    node_bytes = max(first[0].nbytes, first.itemsize)
+    per_call = max(_CALL_BYTES // (_GL_NODES.size * node_bytes), 1)
     coarse = np.concatenate([first, _panel_values(f, bounds[1:-1], bounds[2:], per_call)])
     # Cumulative sums fold left to right, exactly as a loop of `+` does.
     scale = np.cumsum(np.abs(coarse), axis=0)[-1]

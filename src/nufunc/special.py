@@ -255,7 +255,6 @@ def digamma(x):
     """
     if np.isscalar(x) or np.ndim(x) == 0:
         return _digamma_scalar(float(x))
-    scalar = False
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
@@ -273,8 +272,7 @@ def digamma(x):
     tail = np.zeros_like(y)
     for c in reversed(_DIGAMMA_ASYMPTOTIC):
         tail = tail * u + c
-    out = acc + np.log(y) - 0.5 / y - u * tail
-    return float(out) if scalar else out
+    return acc + np.log(y) - 0.5 / y - u * tail
 
 
 def digamma_inverse(t):

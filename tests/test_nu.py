@@ -25,6 +25,7 @@ from nufunc.nu import (
     rho_discrete,
 )
 from nufunc.quadrature import QuadSpec
+from nufunc.special import _log_gamma_scalar, log_gamma
 
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
@@ -126,6 +127,43 @@ def test_structure_function_discrete_continuous_agreement():
         assert rho_discrete(sf, n).log_abs == pytest.approx(
             rho_continuous(sf, float(n)).log_abs, abs=1e-10
         )
+
+
+# Plain, (1,1), (1,2) and (2,1) families; b = 0.7 puts the (1,2) family's
+# Gamma arguments on both sides of 1.
+_RHO_FAMILIES = [
+    HyperParams(0, 0),
+    HyperParams(1, 1, (1.0,), (2.0,)),
+    HyperParams(1, 2, (1.5,), (0.7, 2.5)),
+    HyperParams(2, 1, (0.5, 3.25), (1.75,)),
+]
+
+
+@pytest.mark.parametrize("params", _RHO_FAMILIES, ids=lambda p: f"{p.p}{p.q}")
+@pytest.mark.parametrize("shape", [(401,), (20, 15)])
+def test_log_rho_continuous_matches_per_term_reference(params, shape):
+    E = np.random.default_rng(7).uniform(0.0, 40.0, shape)
+    E.flat[:5] = [0.0, 1e-9, 0.1, 0.3, 0.29999]
+    ref = log_gamma(E + 1.0)
+    for bj in params.b:
+        ref = ref + (log_gamma(bj + E) - log_gamma(bj))
+    for ai in params.a:
+        ref = ref - (log_gamma(ai + E) - log_gamma(ai))
+    got = StructureFn(params).log_rho_continuous(E)
+    assert got.shape == shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("params", _RHO_FAMILIES, ids=lambda p: f"{p.p}{p.q}")
+def test_log_rho_scalar_matches_per_term_reference(params):
+    sf = StructureFn(params)
+    for E in (0.0, 0.1, 0.3, 1.0, 2.5, 17.25, 150.0):
+        ref = _log_gamma_scalar(E + 1.0)
+        for bj in params.b:
+            ref += _log_gamma_scalar(bj + E) - _log_gamma_scalar(bj)
+        for ai in params.a:
+            ref -= _log_gamma_scalar(ai + E) - _log_gamma_scalar(ai)
+        assert sf.log_rho_scalar(E) == ref
 
 
 def test_hyperparams_validation():

@@ -9,7 +9,7 @@ import pytest
 from nufunc import nu
 from nufunc.errors import NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
-    _CALL_VALUES,
+    _CALL_BYTES,
     _GL_NODES,
     _GL_WEIGHTS,
     _MAX_DEPTH,
@@ -285,20 +285,43 @@ def test_breadth_first_engine_matches_depth_first_reference(name):
     assert got[2] == ref[2]
 
 
-def test_wide_integrand_calls_respect_the_value_bound():
+def _wide_integrand_calls(width, complex_values):
+    """Integrate `width` damped cosines, or damped complex phasors, against
+    their closed forms; return the node count of each integrand call."""
     nodes = []
-    rates = 1.0 + np.arange(64) / 8.0
+    rates = 1.0 + np.arange(width) / 8.0
 
     def f(t):
         nodes.append(t.size)
-        return np.exp(-t[:, None] * rates) * np.cos(t)[:, None]
+        wave = np.exp(1j * t) if complex_values else np.cos(t)
+        return np.exp(-t[:, None] * rates) * wave[:, None]
 
     vals, _, _ = integrate_vector_semi_infinite(f, _EXP_PROBE, SPEC, shared_scale=False)
-    exact = rates / (rates**2 + 1.0)
-    assert np.allclose(np.real(vals), exact, rtol=1e-10)
-    per_call = _CALL_VALUES // (15 * 64)
+    exact = 1.0 / (rates - 1j) if complex_values else rates / (rates**2 + 1.0)
+    assert np.allclose(vals, exact, rtol=1e-10)
+    return nodes
+
+
+def test_wide_integrand_calls_respect_the_byte_bound():
+    nodes = _wide_integrand_calls(64, False)
+    per_call = _CALL_BYTES // (15 * 64 * 8)
     assert nodes[0] == 15
-    assert len(nodes) > 2 and max(nodes[1:]) <= 15 * per_call
+    # Full calls reach the bound's panel count, and none goes past it.
+    assert len(nodes) > 2 and max(nodes[1:]) == 15 * per_call
+
+
+def test_complex_integrand_calls_carry_half_the_panels():
+    real = max(_wide_integrand_calls(64, False)) // 15
+    cplx = max(_wide_integrand_calls(64, True)) // 15
+    assert real > 1 and cplx == real // 2
+
+
+def test_panel_over_the_byte_bound_gets_one_panel_per_call():
+    # 15 nodes of 1200 float64 values exceed the bound on their own.
+    width = 1200
+    assert 15 * width * 8 > _CALL_BYTES
+    nodes = _wide_integrand_calls(width, False)
+    assert len(nodes) > 2 and set(nodes) == {15}
 
 
 def test_nu_of_one_makes_few_integrand_calls():
