@@ -359,6 +359,13 @@ def _angular_kernel(g, E, F):
     ) / turn
 
 
+def _sinc_kernel(E, F):
+    """`_angular_kernel` at g = 0 as a real array, equal bit for bit to its
+    real part: numpy divides a complex by 2*pi as a product with 1/(2*pi)."""
+    turn = 2.0 * math.pi
+    return turn * np.sinc(E - F) * (1.0 / turn)
+
+
 def check_complex_gaussian(
     x, y, spec: QuadSpec | None = None, tol: float | None = None
 ) -> IdentityReport:
@@ -392,6 +399,8 @@ def check_complex_gaussian(
         # probe of this per-axis bound serves both integrals.
         lmax = max(lx, ly)
         probe = locate_peak(lambda E: E * lmax - 0.5 * log_gamma(1.0 + E), hint=1.0)
+        # The kernel is real when arg(x*y) = 0, and the whole left side with it.
+        kernel = _sinc_kernel if g == 0.0 else lambda E, F: _angular_kernel(g, E, F)
 
         def outer(E):
             E = np.asarray(E, dtype=float)
@@ -403,7 +412,7 @@ def check_complex_gaussian(
                     log_e + F * ly - log_gamma(1.0 + F)
                     + log_gamma(1.0 + 0.5 * (E + F))
                 )
-                return np.exp(log_mag) * _angular_kernel(g, E, F)
+                return np.exp(log_mag) * kernel(E, F)
 
             value, _, _ = integrate_vector_semi_infinite(
                 inner, probe, spec, shared_scale=False

@@ -8,13 +8,16 @@ runs over panels sorted by interval start so results are bit-for-bit
 reproducible regardless of evaluation order.
 
 Refinement is breadth-first.  Each level tests every open panel against its
-two halves, and the halves of the whole level share integrand calls.  A
-first call on one coarse panel gives the bytes the integrand makes per node
-(output width times item size); after it each call's output stays within
-`_CALL_BYTES`, except that a call always carries at least one panel, so an
-integrand whose single panel is larger than the bound gets one panel per
-call.  The bound matters for nested integrands, whose outer nodes become the
-components of an inner batch.
+two halves, and the halves of the whole level share integrand calls.  The
+first level evaluates the coarse panels and their halves in the same calls.
+Each call's output stays within `_CALL_BYTES`, except that a call always
+carries at least one panel, so an integrand whose single panel is larger
+than the bound gets one panel per call.  The scalar entry sizes the first
+level for one complex value per node; the vector entry first evaluates one
+coarse panel alone to learn the output width.  Later levels are sized by
+the bytes the integrand really made per node (output width times item
+size).  The bound matters for nested integrands, whose outer nodes become
+the components of an inner batch.
 
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked weights-times-values product, and the acceptance test, the panel
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDecaying, NonFinite, ToleranceNotMet
+from .errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 
 __all__ = [
     "QuadSpec",
@@ -57,6 +60,8 @@ _MAX_DEPTH = 60
 # inner batch components, so without this bound a call's arrays would grow
 # with the whole level.
 _CALL_BYTES = 128 * 1024
+# Bytes per node of a scalar integrand's output, at most one complex128.
+_SCALAR_NODE_BYTES = 16
 # Angles of the polar trapezoid rule.
 _ANGULAR_POINTS = 64
 
@@ -264,7 +269,19 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
     return bounds
 
 
-def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False):
+def _per_call(node_bytes):
+    """Panels per integrand call that keep its output within `_CALL_BYTES`."""
+    return max(_CALL_BYTES // (_GL_NODES.size * node_bytes), 1)
+
+
+def _halves(lo, hi):
+    """Midpoints of the panels [lo, hi] and the edges of their halves,
+    each panel's left half first."""
+    mid = 0.5 * (lo + hi)
+    return mid, np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+
+
+def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False, node_bytes=None):
     """Core adaptive engine over [0, probe.truncation_point].
 
     Returns (value, error_estimate_per_component, panel_count).  When
@@ -272,15 +289,25 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     the largest component's coarse scale instead of its own - appropriate
     when the components are phases of one oscillatory family and the
     meaningful accuracy target is absolute on the common envelope.
+    `node_bytes`, when given, sizes the first level's calls; otherwise a
+    call on one coarse panel alone measures it.
     """
     bounds = np.array(_initial_boundaries(probe, max_panel_width))
-    # The first panel alone tells the bytes the integrand makes per node
-    # (output width times item size), which sets how many panels later calls
-    # may carry.
-    first = _panel_values(f, bounds[:1], bounds[1:2], 1)
-    node_bytes = max(first[0].nbytes, first.itemsize)
-    per_call = max(_CALL_BYTES // (_GL_NODES.size * node_bytes), 1)
-    coarse = np.concatenate([first, _panel_values(f, bounds[1:-1], bounds[2:], per_call)])
+    lo, hi = bounds[:-1], bounds[1:]
+    # The first level evaluates the coarse panels and their halves in the
+    # same calls, all wholes before all halves, so the first non-finite
+    # panel in call order is the one a wholes-then-halves engine reports.
+    mid, half_lo, half_hi = _halves(lo, hi)
+    a, b = np.concatenate([lo, half_lo]), np.concatenate([hi, half_hi])
+    if node_bytes is None:
+        first = _panel_values(f, a[:1], b[:1], 1)
+        rest = _panel_values(f, a[1:], b[1:], _per_call(max(first[0].nbytes, first.itemsize)))
+        level = np.concatenate([first, rest])
+    else:
+        level = _panel_values(f, a, b, _per_call(node_bytes))
+    # Later levels carry as many panels as the real output size allows.
+    per_call = _per_call(max(level[0].nbytes, level.itemsize))
+    coarse, halves = level[: lo.size], level[lo.size :]
     # Cumulative sums fold left to right, exactly as a loop of `+` does.
     scale = np.cumsum(np.abs(coarse), axis=0)[-1]
     if shared_scale:
@@ -299,13 +326,12 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     done = []
     # Breadth-first: each pass tests every open panel [lo, hi] of one level
     # against its two halves, and all the halves share integrand calls.
-    lo, hi, whole = bounds[:-1], bounds[1:], coarse
+    whole = coarse
     depth = 0
     while lo.size:
-        mid = 0.5 * (lo + hi)
-        halves = _panel_values(
-            f, np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel(), per_call
-        )
+        if depth:
+            mid, half_lo, half_hi = _halves(lo, hi)
+            halves = _panel_values(f, half_lo, half_hi, per_call)
         left, right = halves[0::2], halves[1::2]
         refined = left + right
         err = np.abs(whole - refined)
@@ -343,11 +369,24 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
 def integrate_semi_infinite_detailed(
     f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None
 ) -> IntegrationResult:
-    """As `integrate_semi_infinite`, but returning the error accounting too."""
-    value, err, n = _integrate_adaptive(f, probe, spec, max_panel_width)
-    if np.ndim(value) == 0:
-        return IntegrationResult(complex(value), float(err), n)
-    return IntegrationResult(np.asarray(value), float(np.max(err)), n)
+    """As `integrate_semi_infinite`, but returning the error accounting too.
+
+    Raises DomainError when `f` returns other than one value per node.
+    """
+
+    def scalar(x):
+        y = np.asarray(f(x))
+        if y.shape != x.shape:
+            raise DomainError(
+                f"a scalar integrand must return one value per node: {x.size} nodes "
+                f"gave shape {y.shape}"
+            )
+        return y
+
+    value, err, n = _integrate_adaptive(
+        scalar, probe, spec, max_panel_width, node_bytes=_SCALAR_NODE_BYTES
+    )
+    return IntegrationResult(complex(value), float(err), n)
 
 
 def integrate_semi_infinite(f, probe: IntegrandProbe, spec: QuadSpec) -> complex:
@@ -356,7 +395,7 @@ def integrate_semi_infinite(f, probe: IntegrandProbe, spec: QuadSpec) -> complex
     `f` must accept a numpy array of nodes and return the matching array of
     (possibly complex) values.
     """
-    return complex(integrate_semi_infinite_detailed(f, probe, spec).value)
+    return integrate_semi_infinite_detailed(f, probe, spec).value
 
 
 def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, shared_scale=True):

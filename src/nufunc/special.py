@@ -90,15 +90,16 @@ def _lanczos_sum_scaled(x):
 
     For x >= 1 the polynomials are evaluated in 1/x so the Horner recursion
     stays well conditioned for large arguments; below 1 they are evaluated
-    in x directly.  Each node runs only the branch it needs.
+    in x directly.  A mixed array runs the 1/x branch on every node, with
+    those below 1 clipped to 1, and then overwrites those from their own
+    branch, which costs less than gathering and scattering the rest.
     """
     x = np.asarray(x, dtype=float)
     big = x >= 1.0
     # Both polynomials share the x^12 scaling, so the ratio is unchanged.
     if big.all():
         return _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x)
-    out = np.empty_like(x)
-    out[big] = _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x[big])
+    out = _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / np.maximum(x, 1.0))
     small = ~big
     out[small] = _rational(_LANCZOS_NUM, _LANCZOS_DEN, x[small])
     return out
@@ -278,7 +279,7 @@ def digamma(x):
 def digamma_inverse(t):
     """Solve psi(y) = t for y > 0 (psi is strictly increasing there).
 
-    Plumbing for peak-location hints; bisection to ~1e-12 relative width.
+    Plumbing for peak-location hints; bisection to ~1e-9 relative width.
     """
     t = float(t)
     lo = 1e-12

@@ -27,7 +27,7 @@ from nufunc import (
     run_suite,
     suite_passed,
 )
-from nufunc.identities import _angular_kernel
+from nufunc.identities import _angular_kernel, _sinc_kernel
 
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
@@ -159,6 +159,16 @@ def test_angular_kernel_matches_phase_average():
         for d in (0.0, 1e-9, 1.4, 4.9):
             k = complex(_angular_kernel(g, F + d, F))
             assert abs(k - _phase_average(g, F + d, F)) <= 1e-13, (g, d)
+
+
+def test_sinc_kernel_is_the_real_part_of_the_angular_kernel_at_zero():
+    F = np.linspace(0.0, 30.0, 301)
+    for d in (0.0, 1e-9, 1.4, 4.9):
+        full = _angular_kernel(0.0, F + d, F)
+        real = _sinc_kernel(F + d, F)
+        assert real.dtype == np.float64
+        assert real.tobytes() == full.real.tobytes(), d
+        assert not full.imag.any()
 
 
 def _reduction_dblquad(x, y):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nufunc import nu
-from nufunc.errors import NonDecaying, NonFinite, ToleranceNotMet
+from nufunc.errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
     _CALL_BYTES,
     _GL_NODES,
@@ -283,6 +283,12 @@ def test_breadth_first_engine_matches_depth_first_reference(name):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
     assert got[2] == ref[2]
+    if np.ndim(ref[0]) == 0:
+        # The scalar entry sizes its first calls differently, not its sums.
+        res = integrate_semi_infinite_detailed(f, probe, SPEC, width)
+        assert np.complex128(res.value).tobytes() == np.complex128(ref[0]).tobytes()
+        assert np.float64(res.error_estimate).tobytes() == np.float64(ref[1]).tobytes()
+        assert res.panel_count == ref[2]
 
 
 def _wide_integrand_calls(width, complex_values):
@@ -332,8 +338,40 @@ def test_nu_of_one_makes_few_integrand_calls():
         calls.append(E.size)
         return f(E)
 
-    _integrate_adaptive(counted, probe, SPEC, max_panel_width=width)
-    assert len(calls) <= 6
+    integrate_semi_infinite_detailed(counted, probe, SPEC, width)
+    # The coarse panels and their halves share one call, and every coarse
+    # panel of nu(1) passes its test.
+    assert len(calls) == 1
+
+
+def test_scalar_entry_rejects_wide_integrands():
+    with pytest.raises(DomainError, match="one value per node"):
+        integrate_semi_infinite_detailed(_three_components, _EXP_PROBE, SPEC)
+
+
+# Panel 1's left half, at its centre node (its midpoint), and the whole last
+# coarse panel hold non-finite values.
+_NAN_BOUNDS = _initial_boundaries(_EXP_PROBE, None)
+_NAN_HALF_CENTRE = 0.5 * (_NAN_BOUNDS[1] + 0.5 * (_NAN_BOUNDS[1] + _NAN_BOUNDS[2]))
+
+
+def _nan_on_a_half_and_a_coarse_panel(width):
+    def f(t):
+        y = np.exp(-t[:, None] * (1.0 + np.arange(width or 1)))
+        y[(t == _NAN_HALF_CENTRE) | (t > _NAN_BOUNDS[-2])] = np.nan
+        return y[:, 0] if width is None else y
+
+    return f
+
+
+@pytest.mark.parametrize("width", [None, 64])
+def test_nonfinite_names_the_coarse_panel_before_an_earlier_half(width):
+    # Coarse panels come before all halves, so the last coarse panel is
+    # reported, also when width 64 spreads the first level over many calls.
+    entry = integrate_semi_infinite_detailed if width is None else integrate_vector_semi_infinite
+    message = rf"on \[{_NAN_BOUNDS[-2]:.6g}, {_NAN_BOUNDS[-1]:.6g}\]"
+    with pytest.raises(NonFinite, match=message):
+        entry(_nan_on_a_half_and_a_coarse_panel(width), _EXP_PROBE, SPEC)
 
 
 # ---------------------------------------------------------------------------
