@@ -24,15 +24,20 @@ import numpy as np
 
 from .errors import DivergentFamily, DomainError, NoConvergence
 from .quadrature import (
+    IntegrandProbe,
     IntegrationResult,
     QuadSpec,
+    _LOG_DROP,
+    _TRUNCATION_CLAMP,
     integrate_semi_infinite_detailed,
     integrate_vector_semi_infinite,
     locate_peak,
 )
 from .special import (
     LogSigned,
+    _digamma_scalar,
     _log_gamma_scalar,
+    _trigamma_scalar,
     digamma_inverse,
     log_gamma,
     reciprocal_gamma_log_signed,
@@ -121,6 +126,15 @@ class StructureFn:
             out = out - (lg[k] - c)
         return out
 
+    def _log_rho_derivative(self, E: float, polygamma=_digamma_scalar) -> float:
+        """d/dE ln rho(E); the second derivative with `_trigamma_scalar`."""
+        out = polygamma(E + 1.0)
+        for bj, _ in self._b_terms:
+            out += polygamma(bj + E)
+        for ai, _ in self._a_terms:
+            out -= polygamma(ai + E)
+        return out
+
     def log_rho_scalar(self, E: float) -> float:
         E = float(E)
         out = _log_gamma_scalar(E + 1.0)
@@ -196,21 +210,72 @@ def _check_domain(sf: StructureFn, abs_w: float) -> None:
         )
 
 
+def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
+    """`locate_peak`'s probe for g(E) = E*log_r - ln rho(E) by safeguarded
+    Newton's method on g' = log_r - psi(E+1) - sum psi(b_j+E) + sum psi(a_i+E)
+    and g'' (trigamma).  T is approached from the right of its root, where
+    every iterate of a concave g meets the probe's invariant.  Without
+    evidence for a single peak (g'' >= 0 at a peak iterate, g(0) above the
+    peak, a T iterate that crosses back or leaves (peak, 1e6]) it falls back
+    to `locate_peak`: small a_i can make g convex.
+    """
+
+    def g(E):
+        E = max(E, 0.0)
+        return E * log_r - sf.log_rho_scalar(E)
+
+    # The psi sum grows like (1 + q - p) ln E.
+    hint = _peak_hint(log_r / max(1 + sf.params.q - sf.params.p, 1))
+    # g' > 0 at lo (none known while lo = -1); the peak lies below hi.
+    x, lo, hi = hint, -1.0, _TRUNCATION_CLAMP
+    for _ in range(60):
+        d1 = log_r - sf._log_rho_derivative(x)
+        d2 = -sf._log_rho_derivative(x, _trigamma_scalar)
+        if not d2 < 0.0:
+            return locate_peak(g, hint)
+        if x == 0.0 and d1 <= 0.0:
+            break
+        step = d1 / d2
+        if abs(step) <= 1e-7 * max(x, 1.0):
+            x = max(x - step, 0.0)
+            break
+        lo, hi = (x, hi) if d1 > 0.0 else (lo, x)
+        x -= step
+        if not max(lo, 0.0) < x < hi:
+            # Bisect; while no point left of the peak is known, try E = 0.
+            x = 0.5 * (lo + hi) if lo >= 0.0 else 0.0
+    else:
+        return locate_peak(g, hint)
+    peak = g(x)
+    if x > 0.0 and not peak >= g(0.0):
+        return locate_peak(g, hint)
+    # Root of the quadratic model g(x) + d1*t + d2*t^2/2 = peak - drop, stably.
+    T = x + 2.0 * _LOG_DROP / (math.sqrt(d1 * d1 - 2.0 * d2 * _LOG_DROP) - d1)
+    for k in range(60):
+        if not x < T <= _TRUNCATION_CLAMP:
+            break
+        h, d1 = g(T) - (peak - _LOG_DROP), log_r - sf._log_rho_derivative(T)
+        # Past the first step, h > 0 means an iterate crossed back.
+        if not d1 < 0.0 or (k and h > 0.0):
+            break
+        step = h / d1
+        if h <= 0.0 and step <= 1e-3 * T:
+            return IntegrandProbe(x, T, peak)
+        T -= step
+    return locate_peak(g, hint)
+
+
 def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False, shared_scale=True):
     """Integral over E >= 0 of exp(c*E) / rho(E) for one exponent
     c = ln|w| + i*arg(w), or for a 1-d array of them on one panel tree.
 
-    The peak probe runs at `log_r`, the largest ln|w|; panels are capped at
-    6 / max|Im c| to resolve the oscillation.  With `scaled` the integrand
-    is divided by exp(peak log value).  Returns (result, log_scale) with
+    The Newton probe (`_nu_probe`, with `locate_peak` as its fallback) runs
+    at `log_r`, the largest ln|w|; panels are capped at 6 / max|Im c| to
+    resolve the oscillation.  With `scaled` the integrand is divided by
+    exp(peak log value).  Returns (result, log_scale) with
     integral = exp(log_scale) * result.value.
     """
-
-    def log_mod(E):
-        E = max(E, 0.0)
-        return E * log_r - sf.log_rho_scalar(E)
-
-    probe = locate_peak(log_mod, _peak_hint(log_r))
+    probe = _nu_probe(sf, log_r)
     shift = probe.peak_log_value if scaled else 0.0
     col = (slice(None),) + (None,) * np.ndim(c)
 

@@ -25,10 +25,12 @@ cap and the final position-ordered sum each run over a level at once.  Both
 the stacked product and the cumulative sums add in the same order as a
 per-panel loop would, so results are bit-identical to it.
 
-Semi-infinite integrals are truncated using an `IntegrandProbe`: the peak of
-the log-integrand is bracketed by golden-section search and the domain is cut
-where the log-value has dropped 100*ln(10) below the peak, far beneath any
-tolerance this library works at.
+Semi-infinite integrals are truncated using an `IntegrandProbe`: the domain
+is cut where the log-integrand has dropped 100*ln(10) below its peak, far
+beneath any tolerance this library works at.  `locate_peak` finds both points
+by golden-section search, doubling and bisection.  The nu family solves them
+by Newton's method on closed-form derivatives (`nu._nu_probe`) and falls back
+to `locate_peak`; `nu_alpha` and the 4.21 and 4.23 checks use it directly.
 """
 
 from __future__ import annotations

@@ -232,6 +232,10 @@ _DIGAMMA_ASYMPTOTIC = (
     1.0 / 12.0,
 )
 _DIGAMMA_ASYMPTOTIC_REV = tuple(reversed(_DIGAMMA_ASYMPTOTIC))
+# Coefficient k of the digamma series is B_2k / 2k; trigamma's is B_2k.
+_TRIGAMMA_ASYMPTOTIC_REV = tuple(
+    2.0 * k * c for k, c in zip(range(len(_DIGAMMA_ASYMPTOTIC), 0, -1), _DIGAMMA_ASYMPTOTIC_REV)
+)
 
 
 def _digamma_scalar(x: float) -> float:
@@ -246,6 +250,21 @@ def _digamma_scalar(x: float) -> float:
     for c in _DIGAMMA_ASYMPTOTIC_REV:
         tail = tail * u + c
     return acc + math.log(x) - 0.5 / x - u * tail
+
+
+def _trigamma_scalar(x: float) -> float:
+    """psi'(x) for x > 0: _digamma_scalar's recurrence and series, differentiated."""
+    if not (x > 0.0) or not math.isfinite(x):
+        raise DomainError(f"trigamma requires x > 0, got {x!r}")
+    acc = 0.0
+    while x < 10.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    u = 1.0 / (x * x)
+    tail = 0.0
+    for c in _TRIGAMMA_ASYMPTOTIC_REV:
+        tail = tail * u + c
+    return acc + (1.0 + 0.5 / x + u * tail) / x
 
 
 def digamma(x):
@@ -279,24 +298,18 @@ def digamma(x):
 def digamma_inverse(t):
     """Solve psi(y) = t for y > 0 (psi is strictly increasing there).
 
-    Plumbing for peak-location hints; bisection to ~1e-9 relative width.
+    Newton's method from the start point of Minka, "Estimating a Dirichlet
+    distribution" (2000); a step that would leave y > 0 halves y instead.
+    Convergence is quadratic: the step after one below 1e-8 is at rounding.
     """
     t = float(t)
-    lo = 1e-12
-    hi = max(math.exp(t) + 1.0, 2.0)
-    while _digamma_scalar(hi) < t:
-        hi *= 2.0
-        if hi > 1e300:
-            return hi
+    y = math.exp(t) + 0.5 if t >= -2.22 else -1.0 / (t - _digamma_scalar(1.0))
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _digamma_scalar(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
+        step = (_digamma_scalar(y) - t) / _trigamma_scalar(y)
+        y = y - step if step < y else 0.5 * y
+        if abs(step) <= 1e-8 * y:
             break
-    return 0.5 * (lo + hi)
+    return y
 
 
 @dataclass(frozen=True)

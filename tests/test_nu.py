@@ -1,5 +1,6 @@
 """Unit tests for the nu-function family evaluators."""
 
+import importlib
 import math
 
 import numpy as np
@@ -24,9 +25,11 @@ from nufunc.nu import (
     rho_continuous,
     rho_discrete,
 )
-from nufunc.quadrature import QuadSpec
+from nufunc.quadrature import QuadSpec, locate_peak
 from nufunc.special import _log_gamma_scalar, log_gamma
 
+# The package's `nu` function shadows the `nufunc.nu` module attribute.
+NU_MODULE = importlib.import_module("nufunc.nu")
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
 
@@ -197,9 +200,10 @@ def test_nu_general_log_matches_linear_scale():
     assert nu_general_log(PLAIN, 2.0, SPEC) == pytest.approx(
         math.log(nu(2.0, SPEC).real), rel=1e-12
     )
-    # Far beyond linear range: nu(w) ~ e^w, so the log sits just under w.
+    # Far beyond linear range: nu(w) = e^w minus a tail of order 1e-5, so the
+    # log sits 1e-265 under w and rounds to w itself.
     val = nu_general_log(PLAIN, 600.0, SPEC)
-    assert 590.0 < val < 600.0
+    assert 600.0 - 1e-12 <= val <= 600.0
 
 
 def test_positive_batch_matches_scalar():
@@ -250,3 +254,97 @@ def test_detailed_result_error_accounting():
     assert complex(res.value).real == pytest.approx(2.26653450769985, rel=1e-12)
     assert 0.0 <= res.error_estimate < 1e-9
     assert res.panel_count >= 1
+
+
+def _count_fallbacks(monkeypatch):
+    """Record the calls of the nu probe's fallback, `locate_peak`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return locate_peak(*args)
+
+    monkeypatch.setattr(NU_MODULE, "locate_peak", counted)
+    return calls
+
+
+def _count_log_rho(monkeypatch):
+    """Record the arguments of every `StructureFn.log_rho_scalar` call."""
+    scalar = StructureFn.log_rho_scalar
+    calls = []
+
+    def counted(sf, E):
+        calls.append(E)
+        return scalar(sf, E)
+
+    monkeypatch.setattr(StructureFn, "log_rho_scalar", counted)
+    return calls
+
+
+# (family, largest ln|w|, whether the probe falls back: never, sometimes, or
+# either).  g is convex near E = 0 for (1,1; 0.01; 1), and everywhere for the
+# unit-disc (2,1) family.
+PROBE_FAMILIES = [
+    (HyperParams(0, 0), math.log(600.0), False),
+    (HyperParams(1, 1, (1.5,), (2.0,)), math.log(600.0), False),
+    (HyperParams(1, 2, (1.5,), (2.0, 0.7)), math.log(600.0), False),
+    (HyperParams(2, 1, (1.5, 0.8), (2.0,)), math.log(0.9), None),
+    (HyperParams(1, 1, (0.01,), (1.0,)), math.log(600.0), True),
+]
+
+
+@pytest.mark.parametrize(
+    "params, top, falls_back", PROBE_FAMILIES, ids=["plain", "11", "12", "21", "convex_near_0"]
+)
+def test_nu_probe_invariant_and_agreement_with_locate_peak(params, top, falls_back, monkeypatch):
+    sf = StructureFn(params)
+    fallbacks = _count_fallbacks(monkeypatch)
+    for log_r in np.linspace(math.log(1e-3), top, 25):
+        log_r = float(log_r)
+
+        def g(E, log_r=log_r):
+            E = max(E, 0.0)
+            return E * log_r - sf.log_rho_scalar(E)
+
+        before = len(fallbacks)
+        probe = NU_MODULE._nu_probe(sf, log_r)
+        peak, T, g_peak = probe.peak_location, probe.truncation_point, probe.peak_log_value
+        assert g(T) <= g_peak - 100.0 * math.log(10.0)
+        # Newton's peak is a root of g'; the fallback's is good to ~1e-5 in E
+        # and puts an edge peak's value at g(1e-12).
+        slack = 1e-9 if len(fallbacks) > before else 1e-12
+        sampled = max(g(E) for E in np.linspace(0.0, T, 200))
+        assert sampled <= g_peak + slack * max(abs(g_peak), 1.0)
+        hint = NU_MODULE._peak_hint(log_r / max(1 + params.q - params.p, 1))
+        ref = locate_peak(g, hint)
+        assert abs(peak - ref.peak_location) <= max(1e-4 * ref.peak_location, 1e-6)
+        assert T == pytest.approx(ref.truncation_point, rel=1e-2)
+    if falls_back is not None:
+        assert bool(fallbacks) == falls_back
+
+
+def test_nu_probe_gives_up_early_on_a_convex_tail(monkeypatch):
+    # g is concave at 0 but convex for large E, so from the right Newton's
+    # truncation steps overshoot the root; the probe must notice at once.
+    sf = StructureFn(HyperParams(2, 1, (1.4, 1.4), (2.0,)))
+    calls, at_fallback = _count_log_rho(monkeypatch), []
+
+    def fallback(*args):
+        at_fallback.append(len(calls))
+        return locate_peak(*args)
+
+    monkeypatch.setattr(NU_MODULE, "locate_peak", fallback)
+    probe = NU_MODULE._nu_probe(sf, math.log(0.5))
+    assert at_fallback and at_fallback[0] <= 4
+    assert probe.peak_location == 0.0
+
+
+def test_nu_probe_needs_no_generic_search(monkeypatch):
+    # A machine-independent guard on the probe's cost: the generic search
+    # made 45-48 log-rho evaluations for each of these.
+    fallbacks = _count_fallbacks(monkeypatch)
+    calls = _count_log_rho(monkeypatch)
+    for w in (1.0, 30.0, 2.0 + 3.0j):
+        calls.clear()
+        nu(w, SPEC)
+        assert not fallbacks and len(calls) <= 10

@@ -9,6 +9,7 @@ from scipy import special as sp
 from nufunc.errors import DomainError
 from nufunc.special import (
     LogSigned,
+    _trigamma_scalar,
     complex_pow,
     digamma,
     digamma_inverse,
@@ -80,9 +81,20 @@ def test_digamma_rejects_nonpositive():
 
 
 def test_digamma_inverse_roundtrip():
-    for t in np.linspace(-3.0, 6.0, 19):
+    for t in np.linspace(-20.0, 20.0, 81):
         y = digamma_inverse(t)
-        assert digamma(y) == pytest.approx(t, abs=1e-7)
+        assert digamma(y) == pytest.approx(t, abs=1e-12)
+
+
+def test_trigamma_matches_reference_library_on_log_grid():
+    for x in np.geomspace(1e-3, 1e6, 181):
+        assert _trigamma_scalar(float(x)) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
+
+
+def test_trigamma_rejects_nonpositive_and_nonfinite():
+    for x in (0.0, -0.5, -3.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            _trigamma_scalar(x)
 
 
 def test_reciprocal_gamma_zeros_at_nonpositive_integers():
