@@ -31,13 +31,16 @@ from .coherent import _density_detailed, _overlap_detailed, poisson_density_disc
 from .nu import (
     HyperParams,
     StructureFn,
-    nu_alpha_detailed,
-    nu_general_detailed,
+    nu_alpha_batch_detailed,
+    nu_general_batch_detailed,
     pfq_series,
 )
 from .quadrature import QuadSpec
 
 __all__ = ["main"]
+
+# Rows of a table per probe and panel tree, whose arrays grow with the rows.
+_ROWS_PER_TREE = 64
 
 
 def _fmt(v: float) -> str:
@@ -124,31 +127,22 @@ def _eval_rows(args, parser) -> list:
         return np.array([float(default_flag)])
 
     rows = []
-    if fn == "nu":
-        sf = StructureFn(HyperParams(0, 0))
-        for w in inputs(args.z, "--z"):
-            res = nu_general_detailed(sf, float(w), spec)
-            v = complex(res.value)
-            rows.append((w, v.real, v.imag, res.error_estimate))
-    elif fn == "gnu":
-        sf = _family(args)
-        if args.grid is None and args.z is not None:
-            w = parse_complex_literal(args.z) if isinstance(args.z, str) else args.z
-            res = nu_general_detailed(sf, w, spec)
-            v = complex(res.value)
-            rows.append((abs(w), v.real, v.imag, res.error_estimate))
-        else:
-            for w in inputs(args.z, "--z"):
-                res = nu_general_detailed(sf, float(w), spec)
-                v = complex(res.value)
-                rows.append((w, v.real, v.imag, res.error_estimate))
-    elif fn == "nu-alpha":
-        if args.alpha is None:
+    if fn in ("nu", "gnu", "nu-alpha"):
+        if fn == "nu-alpha" and args.alpha is None:
             parser.error("--alpha is required for 'nu-alpha'")
-        for w in inputs(args.z, "--z"):
-            res = nu_alpha_detailed(float(w), args.alpha, spec)
-            v = complex(res.value)
-            rows.append((w, v.real, v.imag, res.error_estimate))
+        sf = _family(args) if fn == "gnu" else StructureFn(HyperParams(0, 0))
+        if fn == "gnu" and args.grid is None and args.z is not None:
+            w = parse_complex_literal(args.z)
+            ws, xs = np.array([w]), [abs(w)]
+        else:
+            ws = xs = inputs(args.z, "--z")
+        for s in range(0, len(ws), _ROWS_PER_TREE):
+            chunk = ws[s : s + _ROWS_PER_TREE]
+            if fn == "nu-alpha":
+                res = nu_alpha_batch_detailed(chunk, args.alpha, spec)
+            else:  # complex exponents, as nu_general_detailed uses: --z keeps its digits
+                res = nu_general_batch_detailed(sf, chunk.astype(complex), spec)
+            rows += zip(xs[s:], np.real(res.value), np.imag(res.value), res.error_estimate)
     elif fn == "pfq":
         sf = _family(args)
         if args.grid is None and args.z is not None:

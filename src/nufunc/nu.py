@@ -52,10 +52,12 @@ __all__ = [
     "convergence_domain",
     "nu",
     "nu_alpha",
+    "nu_alpha_batch_detailed",
     "nu_alpha_detailed",
     "nu_alpha_positive_batch",
     "nu_complex_grid",
     "nu_general",
+    "nu_general_batch_detailed",
     "nu_general_detailed",
     "nu_general_log",
     "nu_on_circle",
@@ -214,10 +216,11 @@ def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
     """`locate_peak`'s probe for g(E) = E*log_r - ln rho(E) by safeguarded
     Newton's method on g' = log_r - psi(E+1) - sum psi(b_j+E) + sum psi(a_i+E)
     and g'' (trigamma).  T is approached from the right of its root, where
-    every iterate of a concave g meets the probe's invariant.  Without
-    evidence for a single peak (g'' >= 0 at a peak iterate, g(0) above the
-    peak, a T iterate that crosses back or leaves (peak, 1e6]) it falls back
-    to `locate_peak`: small a_i can make g convex.
+    every iterate of a concave g meets the probe's invariant.  g'' >= 0 at a
+    peak iterate with no rise seen hands over to `_convex_probe`.  Without
+    evidence for a single peak (that fails, g(0) is above the peak, or a T
+    iterate crosses back or leaves (peak, 1e6]) it falls back to
+    `locate_peak`: small a_i can make g convex.
     """
 
     def g(E):
@@ -232,7 +235,8 @@ def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
         d1 = log_r - sf._log_rho_derivative(x)
         d2 = -sf._log_rho_derivative(x, _trigamma_scalar)
         if not d2 < 0.0:
-            return locate_peak(g, hint)
+            # No rise seen yet: g may be convex and falling from E = 0.
+            return (lo < 0.0 and d1 < 0.0 and _convex_probe(sf, g, log_r)) or locate_peak(g, hint)
         if x == 0.0 and d1 <= 0.0:
             break
         step = d1 / d2
@@ -263,6 +267,27 @@ def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
             return IntegrandProbe(x, T, peak)
         T -= step
     return locate_peak(g, hint)
+
+
+def _convex_probe(sf: StructureFn, g, log_r: float):
+    """The probe of a g convex and falling from its peak at E = 0, by Newton's
+    method on g(T) = g(0) - drop from the left, where a convex g's tangent
+    roots stay, and a doubled last step past the root.  None when g is not
+    convex and falling at an iterate."""
+    T, h, peak = 0.0, _LOG_DROP, g(0.0)
+    for _ in range(60):
+        d1 = log_r - sf._log_rho_derivative(T)
+        # g'' is minus the trigamma sum.
+        if not (d1 < 0.0 and sf._log_rho_derivative(T, _trigamma_scalar) <= 0.0):
+            return None
+        step = -h / d1
+        T += step if step > 1e-3 * T else 2.0 * step
+        if not T <= _TRUNCATION_CLAMP:
+            return None
+        h = g(T) - (peak - _LOG_DROP)
+        if h <= 0.0:
+            return IntegrandProbe(0.0, T, peak)
+    return None
 
 
 def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False, shared_scale=True):
@@ -364,15 +389,19 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
     return shift + math.log(res.value.real)
 
 
-def nu_alpha_detailed(w: float, alpha: float, spec: QuadSpec):
-    """As nu_alpha, but returning the IntegrationResult with its error
-    accounting (value, error_estimate, panel_count)."""
-    w = float(w)
-    alpha = float(alpha)
+def _alpha_args(w, alpha):
+    w, alpha = float(w), float(alpha)
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"nu_alpha requires w > 0, got {w!r}")
     if not math.isfinite(alpha):
         raise DomainError(f"nu_alpha requires finite alpha, got {alpha!r}")
+    return w, alpha
+
+
+def nu_alpha_detailed(w: float, alpha: float, spec: QuadSpec):
+    """As nu_alpha, but returning the IntegrationResult with its error
+    accounting (value, error_estimate, panel_count)."""
+    w, alpha = _alpha_args(w, alpha)
     log_w = math.log(w)
     return _nu_alpha_integral(log_w, log_w, alpha, spec)
 
@@ -394,45 +423,51 @@ def nu_on_circle(r: float, phases, sf: StructureFn, spec: QuadSpec):
     return nu_complex_grid(sf, [r], phases, spec)[0]
 
 
-def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
-    """nu_general at a batch of real arguments >= 0, sharing one panel tree.
+def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> IntegrationResult:
+    """nu_general at an array of arguments on one probe and panel tree, each
+    held to its own relative budget: `value` and `error_estimate` are shaped
+    like `ws`.  A zero argument gives 0 with error 0; the exponents are real
+    unless an argument is complex or negative.  The first argument outside
+    the domain raises, as nu_general_detailed would on it."""
+    ws = np.asarray(ws)
+    abs_w = np.abs(ws)
+    if ws.size:
+        _check_domain(sf, float(abs_w.flat[np.argmax(abs_w >= 1.0)]))
+    nz = abs_w != 0.0
+    c = np.log(abs_w[nz])
+    if np.iscomplexobj(ws) or np.any(ws < 0.0):
+        c = c + 1j * np.angle(ws[nz])
+    value, error, panels = np.zeros(ws.shape, c.dtype), np.zeros(ws.shape), 0
+    if c.size:
+        res, _ = _nu_integral(sf, math.log(float(np.max(abs_w))), c, spec, shared_scale=False)
+        value[nz], error[nz], panels = res.value, res.error_estimate, res.panel_count
+    return IntegrationResult(value, error, panels)
 
-    Every component is integrated on the same adaptively refined panels but
-    held to its own relative error budget.  This is what makes nested
-    integrals of the form `integral of weight(t) * nu(t/x) dt` affordable:
-    each outer panel needs the inner function at 15 nodes, and those 15
-    evaluations collapse into a single vectorized sweep.
-    """
+
+def nu_alpha_batch_detailed(ws, alpha: float, spec: QuadSpec) -> IntegrationResult:
+    """nu_alpha at a non-empty array of arguments, as nu_general_batch_detailed:
+    the first bad argument raises, as nu_alpha_detailed would on it."""
+    ws = np.asarray(ws, dtype=float)
+    # Row 0 first: a bad alpha is reported there unless row 0 is bad.
+    _alpha_args(ws.flat[0], alpha)
+    alpha = _alpha_args(ws.flat[np.argmax(~(ws > 0.0) | ~np.isfinite(ws))], alpha)[1]
+    return _nu_alpha_integral(math.log(float(np.max(ws))), np.log(ws), alpha, spec)
+
+
+def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
+    """nu_general at real arguments >= 0: the values of
+    nu_general_batch_detailed, one panel tree with a budget per argument.
+    The nested identity checks pass it each outer panel's nodes at once."""
     ws = np.asarray(ws, dtype=float)
     if np.any(ws < 0.0) or np.any(~np.isfinite(ws)):
         raise DomainError("nu_positive_batch requires finite ws >= 0")
-    out = np.zeros(ws.shape, dtype=float)
-    pos = ws > 0.0
-    if not np.any(pos):
-        return out
-    wpos = ws[pos]
-    wmax = float(np.max(wpos))
-    _check_domain(sf, wmax)
-    res, _ = _nu_integral(sf, math.log(wmax), np.log(wpos), spec, shared_scale=False)
-    out[pos] = np.real(res.value)
-    return out
+    return np.real(nu_general_batch_detailed(sf, ws, spec).value)
 
 
 def nu_alpha_positive_batch(ws, alpha: float, spec: QuadSpec):
-    """nu_alpha at a batch of arguments > 0, sharing one panel tree.
-
-    The alpha-shifted reciprocal gamma factor depends only on E, so a whole
-    batch of w values rides on one adaptive refinement, exactly as in
-    nu_positive_batch.
-    """
-    ws = np.asarray(ws, dtype=float)
-    alpha = float(alpha)
-    if np.any(ws <= 0.0) or np.any(~np.isfinite(ws)):
-        raise DomainError("nu_alpha_positive_batch requires finite ws > 0")
-    if not math.isfinite(alpha):
-        raise DomainError(f"finite alpha required, got {alpha!r}")
-    log_wmax = math.log(float(np.max(ws)))
-    return np.real(_nu_alpha_integral(log_wmax, np.log(ws), alpha, spec).value)
+    """nu_alpha at arguments > 0: the values of nu_alpha_batch_detailed,
+    one panel tree with a budget per argument."""
+    return nu_alpha_batch_detailed(ws, alpha, spec).value
 
 
 def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):

@@ -4,13 +4,26 @@ import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import nufunc.cli as cli
-from nufunc import HyperParams, QuadSpec, StructureFn, nu, nu_general
+from nufunc import (
+    DomainError,
+    HyperParams,
+    QuadSpec,
+    StructureFn,
+    nu,
+    nu_alpha_detailed,
+    nu_general,
+    nu_general_detailed,
+)
 from nufunc.cli import main, parse_complex_literal
 
 SPEC = QuadSpec()
+EPS = float(np.finfo(float).eps)
+# The package's `nu` function shadows the `nufunc.nu` module attribute.
+NU_MODULE = importlib.import_module("nufunc.nu")
 
 
 def run_cli(capsys, *argv):
@@ -125,17 +138,21 @@ def test_eval_overlap_of_large_labels(capsys):
     assert 0.0 < float(fields[3]) < 1e-9
 
 
-def test_one_normalizer_per_answer(capsys, monkeypatch):
-    # The package's `nu` function shadows the `nufunc.nu` module attribute.
-    nu_module = importlib.import_module("nufunc.nu")
+def _count_calls(monkeypatch, name):
+    """Record the calls of the private ν core `name`."""
     calls = []
-    core = nu_module._nu_integral
+    core = getattr(NU_MODULE, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return core(*args, **kwargs)
 
-    monkeypatch.setattr(nu_module, "_nu_integral", counted)
+    monkeypatch.setattr(NU_MODULE, name, counted)
+    return calls
+
+
+def test_one_normalizer_per_answer(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_nu_integral")
     code, out, _ = run_cli(capsys, "table", "density", "--zsq", "2.5", "--grid", "0:9:20")
     assert code == 0 and len(out.strip().splitlines()) == 21
     assert len(calls) == 1
@@ -188,6 +205,99 @@ def test_log_grid(capsys):
     assert inputs[0] == pytest.approx(0.1)
     assert inputs[1] == pytest.approx(1.0)
     assert inputs[2] == pytest.approx(10.0)
+
+
+def _table_rows(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    return [tuple(float(x) for x in line.split(",")) for line in out.strip().splitlines()[1:]]
+
+
+def _agrees(re_, im_, est, ref, ulps=4):
+    """A table row against a one-argument call: within the larger error
+    estimate plus `ulps` ulps of the value."""
+    v = complex(ref.value)
+    return abs(complex(re_, im_) - v) <= max(est, ref.error_estimate) + ulps * EPS * abs(v)
+
+
+FAMILY_TABLES = [
+    ([], HyperParams(0, 0), "0.08:12:30:log"),
+    (["--p", "1", "--q", "1", "--a", "1.5", "--b", "2"], HyperParams(1, 1, (1.5,), (2.0,)), "0.05:20:20:log"),
+    (["--p", "1", "--q", "2", "--a", "1.5", "--b", "2,0.7"], HyperParams(1, 2, (1.5,), (2.0, 0.7)), "0.1:12:12"),
+    (["--p", "2", "--q", "1", "--a", "1.5,0.8", "--b", "2"], HyperParams(2, 1, (1.5, 0.8), (2.0,)), "0.04:0.65:10"),
+]
+
+
+@pytest.mark.parametrize("flags, params, grid", FAMILY_TABLES, ids=["plain", "11", "12", "21"])
+def test_table_rows_agree_with_one_argument_calls(capsys, flags, params, grid):
+    fn = "gnu" if flags else "nu"
+    rows = _table_rows(capsys, "table", fn, *flags, "--grid", grid)
+    sf = StructureFn(params)
+    assert len(rows) == int(grid.split(":")[2])
+    for x, re_, im_, est in rows:
+        assert _agrees(re_, im_, est, nu_general_detailed(sf, x, SPEC))
+
+
+# At alpha = -2 the integrand changes sign at E = 1 and the sum runs over
+# ~200 panels: at w = 2.936 the table row and the one-argument call differ
+# by 6 ulps, each within 4 ulps of the true value (checked with mpmath),
+# a rounding floor that est_err does not count.
+@pytest.mark.parametrize("alpha, ulps", [("1.2", 4), ("-0.3", 4), ("-2", 8)])
+def test_nu_alpha_table_rows_agree_with_one_argument_calls(capsys, alpha, ulps):
+    rows = _table_rows(capsys, "table", "nu-alpha", f"--alpha={alpha}", "--grid", "0.4:3.5:12")
+    for x, re_, im_, est in rows:
+        assert _agrees(re_, im_, est, nu_alpha_detailed(x, float(alpha), SPEC), ulps)
+
+
+def test_table_with_zero_and_negative_rows(capsys):
+    rows = _table_rows(capsys, "table", "nu", "--grid=-2:2:5")
+    assert [r[0] for r in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert rows[2] == (0.0, 0.0, 0.0, 0.0)
+    for x, re_, im_, est in rows[:2] + rows[3:]:
+        assert _agrees(re_, im_, est, nu_general_detailed(StructureFn(HyperParams(0, 0)), x, SPEC))
+    # Without '=' argparse takes the grid for a flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "nu", "--grid", "-2:2:5"])
+    assert exc.value.code == 2
+
+
+def test_table_domain_errors_name_the_first_bad_row(capsys):
+    flags = ["--p", "2", "--q", "1", "--a", "1.5,0.8", "--b", "2"]
+    code, out, err = run_cli(capsys, "table", "gnu", *flags, "--grid", "0.5:1.5:5")
+    sf = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
+    with pytest.raises(DomainError) as exc:
+        nu_general_detailed(sf, 1.0, SPEC)
+    assert (code, out) == (3, "")
+    assert err == f"domain error: {exc.value}\n"
+    assert err.endswith("got |w| = 1\n")
+    code, out, err = run_cli(capsys, "table", "nu-alpha", "--alpha", "1", "--grid", "0:2:5")
+    assert (code, out, err) == (3, "", "domain error: nu_alpha requires w > 0, got 0.0\n")
+
+
+def test_one_tree_per_table(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_nu_integral")
+    alpha_calls = _count_calls(monkeypatch, "_nu_alpha_integral")
+    assert len(_table_rows(capsys, "table", "nu", "--grid", "0.1:10:30:log")) == 30
+    assert len(calls) == 1
+    assert len(_table_rows(capsys, "eval", "gnu", *FAMILY_TABLES[1][0], "--grid", "0.1:10:12")) == 12
+    assert len(calls) == 2
+    assert len(_table_rows(capsys, "table", "nu-alpha", "--alpha", "0.5", "--grid", "0.5:3:12")) == 12
+    assert len(alpha_calls) == 1
+    # Wide tables run in chunks of rows, one tree each.
+    rows = _table_rows(capsys, "table", "nu", "--grid", "0.1:10:130")
+    assert len(calls) == 2 + 3 and len(rows) == 130
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nu"], ["gnu", *FAMILY_TABLES[1][0]], ["gnu", *FAMILY_TABLES[3][0]], ["nu-alpha", "--alpha=-1.5"]],
+    ids=["nu", "gnu11", "gnu21", "nu-alpha"],
+)
+def test_one_row_grid_prints_the_bytes_of_z(capsys, argv):
+    for z in ("0.7", "0.03"):
+        _, by_z, _ = run_cli(capsys, "eval", *argv, "--z", z)
+        _, by_grid, _ = run_cli(capsys, "table", *argv, "--grid", f"{z}:{z}:1")
+        assert by_grid == by_z and by_z.count("\n") == 2
 
 
 def test_bad_grid_is_usage_error():

@@ -13,9 +13,12 @@ from nufunc.nu import (
     convergence_domain,
     nu,
     nu_alpha,
+    nu_alpha_batch_detailed,
+    nu_alpha_detailed,
     nu_alpha_positive_batch,
     nu_complex_grid,
     nu_general,
+    nu_general_batch_detailed,
     nu_general_detailed,
     nu_general_log,
     nu_on_circle,
@@ -32,6 +35,7 @@ from nufunc.special import _log_gamma_scalar, log_gamma
 NU_MODULE = importlib.import_module("nufunc.nu")
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
+EPS = float(np.finfo(float).eps)
 
 # Frozen oracle values computed independently with 50-digit arithmetic.
 NU_ORACLE = {
@@ -221,6 +225,74 @@ def test_alpha_batch_matches_scalar():
             assert v == pytest.approx(nu_alpha(float(w), alpha, SPEC), rel=1e-10)
 
 
+def _agrees(value, error, ref):
+    """A batched row against a one-argument call: within the larger error
+    estimate plus 4 ulps of the value."""
+    return abs(value - ref.value) <= max(error, ref.error_estimate) + 4.0 * EPS * abs(ref.value)
+
+
+BATCH_GRIDS = [
+    (HyperParams(0, 0), np.geomspace(0.08, 12.0, 30)),
+    (HyperParams(0, 0), np.linspace(-6.0, 6.0, 13)),
+    (HyperParams(0, 0), np.array([0.5 + 0.5j, -1.0 + 2.0j, 0.0, 3.0 - 0.1j])),
+    (HyperParams(1, 1, (1.5,), (2.0,)), np.geomspace(0.05, 20.0, 20)),
+    (HyperParams(1, 2, (1.5,), (2.0, 0.7)), np.linspace(0.1, 12.0, 12)),
+    (HyperParams(2, 1, (1.5, 0.8), (2.0,)), np.linspace(-0.9, 0.9, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "params, ws", BATCH_GRIDS, ids=["plain", "plain_signed", "plain_complex", "11", "12", "21"]
+)
+def test_general_batch_rows_agree_with_one_argument_calls(params, ws):
+    sf = StructureFn(params)
+    res = nu_general_batch_detailed(sf, ws, SPEC)
+    assert res.value.shape == res.error_estimate.shape == ws.shape
+    # Real exponents unless an argument is complex or negative.
+    assert np.isrealobj(res.value) == (np.isrealobj(ws) and bool(np.all(ws >= 0.0)))
+    for w, v, e in zip(ws, res.value, res.error_estimate):
+        if w == 0:
+            assert v == 0 and e == 0
+        else:
+            assert _agrees(v, e, nu_general_detailed(sf, w, SPEC))
+
+
+@pytest.mark.parametrize("alpha", [1.2, -0.3, -1.5, -2.0])
+def test_alpha_batch_rows_agree_with_one_argument_calls(alpha):
+    ws = np.geomspace(0.4, 3.5, 12)
+    res = nu_alpha_batch_detailed(ws, alpha, SPEC)
+    assert np.isrealobj(res.value) and res.error_estimate.shape == ws.shape
+    for w, v, e in zip(ws, res.value, res.error_estimate):
+        assert _agrees(v, e, nu_alpha_detailed(w, alpha, SPEC))
+
+
+def _error_text(call, *args):
+    with pytest.raises(DomainError) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_batches_raise_the_first_bad_rows_error():
+    disc = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
+    ws = np.array([0.5, -0.9, -1.25, 3.0])
+    assert _error_text(nu_general_batch_detailed, disc, ws, SPEC) == _error_text(
+        nu_general_detailed, disc, -1.25, SPEC
+    )
+    divergent = StructureFn(HyperParams(2, 0, (1.0, 1.0)))
+    with pytest.raises(DivergentFamily):
+        nu_general_batch_detailed(divergent, np.array([0.0, 0.5]), SPEC)
+    # A bad alpha is reported on the first row, unless that row is bad itself.
+    for ws, alpha, first_bad in [
+        ([1.0, 0.0, -1.0], 1.0, (0.0, 1.0)),
+        ([2.0, math.inf], 1.0, (math.inf, 1.0)),
+        ([1.0, 0.0], math.nan, (1.0, math.nan)),
+        ([0.0, 1.0], math.nan, (0.0, math.nan)),
+    ]:
+        assert _error_text(nu_alpha_batch_detailed, np.array(ws), alpha, SPEC) == _error_text(
+            nu_alpha_detailed, *first_bad, SPEC
+        )
+
+
 def test_nu_on_circle_matches_pointwise():
     phases = np.array([0.0, 0.9, -0.9, 2.5, math.pi, 4.0])
     vals = nu_on_circle(0.8, phases, PLAIN, SPEC)
@@ -281,14 +353,14 @@ def _count_log_rho(monkeypatch):
     return calls
 
 
-# (family, largest ln|w|, whether the probe falls back: never, sometimes, or
-# either).  g is convex near E = 0 for (1,1; 0.01; 1), and everywhere for the
-# unit-disc (2,1) family.
+# (family, largest ln|w|, whether the probe falls back: never or sometimes).
+# g is convex near E = 0 for (1,1; 0.01; 1), and everywhere for the
+# unit-disc (2,1) family, whose truncation point is solved from the left.
 PROBE_FAMILIES = [
     (HyperParams(0, 0), math.log(600.0), False),
     (HyperParams(1, 1, (1.5,), (2.0,)), math.log(600.0), False),
     (HyperParams(1, 2, (1.5,), (2.0, 0.7)), math.log(600.0), False),
-    (HyperParams(2, 1, (1.5, 0.8), (2.0,)), math.log(0.9), None),
+    (HyperParams(2, 1, (1.5, 0.8), (2.0,)), math.log(0.9), False),
     (HyperParams(1, 1, (0.01,), (1.0,)), math.log(600.0), True),
 ]
 
@@ -348,3 +420,30 @@ def test_nu_probe_needs_no_generic_search(monkeypatch):
         calls.clear()
         nu(w, SPEC)
         assert not fallbacks and len(calls) <= 10
+
+
+def test_nu_probe_solves_a_convex_falling_log_integrand_from_the_left(monkeypatch):
+    # For (2,1) and |w| < 1, g is convex and falls from its peak at E = 0; the
+    # generic search made 52-67 log-rho evaluations here.
+    sf = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
+    fallbacks = _count_fallbacks(monkeypatch)
+    calls = _count_log_rho(monkeypatch)
+    for w in (0.05, 0.3, 0.55, 0.9):
+        log_r = math.log(w)
+        calls.clear()
+        probe = NU_MODULE._nu_probe(sf, log_r)
+        evaluated = list(calls)
+        assert not fallbacks and len(evaluated) <= 10
+        T = probe.truncation_point
+        assert probe.peak_location == 0.0 and probe.peak_log_value == -sf.log_rho_scalar(0.0)
+        # The returned T was evaluated, and there it sits below the target.
+        assert T in evaluated
+        assert T * log_r - sf.log_rho_scalar(T) <= probe.peak_log_value - 100.0 * math.log(10.0)
+        grid = np.linspace(0.0, T, 200)
+        assert np.all(grid * log_r - sf.log_rho_continuous(grid) <= probe.peak_log_value + 1e-12)
+
+        def g(E):
+            E = max(E, 0.0)
+            return E * log_r - sf.log_rho_scalar(E)
+
+        assert T == pytest.approx(locate_peak(g, 0.5).truncation_point, rel=1e-2)
