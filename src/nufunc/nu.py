@@ -304,12 +304,17 @@ def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False,
     shift = probe.peak_log_value if scaled else 0.0
     col = (slice(None),) + (None,) * np.ndim(c)
 
-    def f(E):
+    def f(E, log_rho=None):
         E = np.asarray(E, dtype=float)
         x = E[col] * c
-        x -= sf.log_rho_continuous(E)[col]
-        x -= shift
+        x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[col]
+        if scaled:
+            x -= shift
         return np.exp(x, out=x)
+
+    if np.ndim(c):
+        # The engine evaluates ln rho once per level, not once per call.
+        f.node_terms = lambda E: (sf.log_rho_continuous(E),)
 
     max_im = float(np.max(np.abs(np.imag(c))))
     max_width = 6.0 / max_im if max_im > 1e-9 else None
@@ -322,11 +327,15 @@ def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
     budgets; `log_r` is the largest ln w."""
     col = (slice(None),) + (None,) * np.ndim(c)
 
-    def f(E):
+    def f(E, log_abs=None, sign=None):
         E = np.asarray(E, dtype=float)
-        log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
+        if log_abs is None:
+            log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
         vals = sign[col] * np.exp((alpha + E)[col] * c + log_abs[col])
         return np.where(sign[col] == 0.0, 0.0, vals)
+
+    if np.ndim(c):
+        f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
 
     def log_mod(E):
         log_abs, _ = reciprocal_gamma_log_signed(alpha + E + 1.0)

@@ -10,6 +10,10 @@ reproducible regardless of evaluation order.
 Refinement is breadth-first.  Each level tests every open panel against its
 two halves, and the halves of the whole level share integrand calls.  The
 first level evaluates the coarse panels and their halves in the same calls.
+A failing panel [0, 2h] splits its left half into a geometric ladder of
+rungs [0, h/2^12], [h/2^12, h/2^11], ..., [h/2, h] (hp-grading toward a
+singular origin), whose wholes share the next level's calls; depth counts
+halvings, so no panel is narrower than 2^-60 of its coarse panel.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
 than the bound gets one panel per call.  The scalar entry sizes the first
@@ -17,7 +21,8 @@ level for one complex value per node; the vector entry first evaluates one
 coarse panel alone to learn the output width.  Later levels are sized by
 the bytes the integrand really made per node (output width times item
 size).  The bound matters for nested integrands, whose outer nodes become
-the components of an inner batch.
+the components of an inner batch.  An integrand's node-only term (ln rho
+for nu) is evaluated once per level and sliced for each call.
 
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked weights-times-values product, and the acceptance test, the panel
@@ -57,6 +62,11 @@ _LOG_DROP = 100.0 * math.log(10.0)
 # Hard ceiling for truncation searches.
 _TRUNCATION_CLAMP = 1e6
 _MAX_DEPTH = 60
+# Halvings of the geometric ladders toward E = 0: the coarse boundaries hold
+# T/2, ..., T/2^12, and a failing origin panel's left half gets 13 rungs.
+_LADDER = 12
+# Halvings from that left half to each rung, bottom rung first.
+_RUNG_DEPTHS = np.minimum(np.arange(_LADDER + 1, 0, -1), _LADDER)
 # Bytes of integrand output one call may produce, unless a single panel
 # needs more.  Level-wide calls of a nested integrand turn outer nodes into
 # inner batch components, so without this bound a call's arrays would grow
@@ -214,32 +224,44 @@ def locate_peak(log_integrand, hint) -> IntegrandProbe:
 def _panel_values(f, a, b, per_call):
     """15-point Gauss-Legendre estimates of the integral of f over each panel
     [a[k], b[k]], from calls of f on the nodes of at most `per_call` panels.
+    With `per_call` None the first call carries one panel, and the bytes per
+    node of its output size the rest.
 
     f maps a node array (n,) to values of shape (n,) or (n, m); the result
-    has shape (P,) or (P, m) for P panels.
+    has shape (P,) or (P, m) for P panels.  When f has a `node_terms`
+    attribute, `f.node_terms(nodes)` gives a tuple of node-only arrays once
+    for all nodes, and each call is f(nodes, *terms) with their slices.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _GL_NODES
+    node_terms = getattr(f, "node_terms", None)
+    terms = () if node_terms is None else node_terms(x.ravel())
+    n = _GL_NODES.size
     sums = []
-    for s in range(0, a.size, per_call):
-        nodes = x[s : s + per_call]
-        y = np.asarray(f(nodes.ravel()))
+    s = 0
+    while s < a.size:
+        k = per_call or 1
+        nodes = x[s : s + k]
+        y = np.asarray(f(nodes.ravel(), *(t[s * n : (s + k) * n] for t in terms)))
         y = y.reshape(nodes.shape + y.shape[1:])
         finite = np.isfinite(y).all(axis=tuple(range(1, y.ndim)))
         if not finite.all():
-            k = s + int(np.argmin(finite))
+            j = s + int(np.argmin(finite))
             raise NonFinite(
-                f"integrand returned non-finite values on [{a[k]:.6g}, {b[k]:.6g}]"
+                f"integrand returned non-finite values on [{a[j]:.6g}, {b[j]:.6g}]"
             )
         # A stack of (1, 15) @ (15, m) products adds each panel's terms in
         # the order a per-panel tensordot does; `y @ w` and einsum do not.
         # BLAS sums strided operands in another order, hence the C layout.
         shape = y.shape[:1] + y.shape[2:]
-        y = np.ascontiguousarray(y).reshape(len(y), _GL_NODES.size, -1)
+        y = np.ascontiguousarray(y).reshape(len(y), n, -1)
         sums.append(np.matmul(_GL_WEIGHTS[None, :], y).reshape(shape))
+        if per_call is None:
+            per_call = _per_call(max(sums[0][0].nbytes, sums[0].itemsize))
+        s += k
     sums = np.concatenate(sums)
     return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
 
@@ -249,7 +271,7 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
     pts = {0.0, T}
     # Geometric ladder toward zero picks up sharply-varying behavior there.
     step = T
-    for _ in range(12):
+    for _ in range(_LADDER):
         step *= 0.5
         pts.add(step)
     pk = probe.peak_location
@@ -276,13 +298,6 @@ def _per_call(node_bytes):
     return max(_CALL_BYTES // (_GL_NODES.size * node_bytes), 1)
 
 
-def _halves(lo, hi):
-    """Midpoints of the panels [lo, hi] and the edges of their halves,
-    each panel's left half first."""
-    mid = 0.5 * (lo + hi)
-    return mid, np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-
-
 def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False, node_bytes=None):
     """Core adaptive engine over [0, probe.truncation_point].
 
@@ -296,44 +311,45 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     """
     bounds = np.array(_initial_boundaries(probe, max_panel_width))
     lo, hi = bounds[:-1], bounds[1:]
-    # The first level evaluates the coarse panels and their halves in the
-    # same calls, all wholes before all halves, so the first non-finite
-    # panel in call order is the one a wholes-then-halves engine reports.
-    mid, half_lo, half_hi = _halves(lo, hi)
-    a, b = np.concatenate([lo, half_lo]), np.concatenate([hi, half_hi])
-    if node_bytes is None:
-        first = _panel_values(f, a[:1], b[:1], 1)
-        rest = _panel_values(f, a[1:], b[1:], _per_call(max(first[0].nbytes, first.itemsize)))
-        level = np.concatenate([first, rest])
-    else:
-        level = _panel_values(f, a, b, _per_call(node_bytes))
-    # Later levels carry as many panels as the real output size allows.
-    per_call = _per_call(max(level[0].nbytes, level.itemsize))
-    coarse, halves = level[: lo.size], level[lo.size :]
-    # Cumulative sums fold left to right, exactly as a loop of `+` does.
-    scale = np.cumsum(np.abs(coarse), axis=0)[-1]
-    if shared_scale:
-        scale = np.maximum(scale, np.max(scale))
-    total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
-    # Fixed-slice floor: integrands with mild endpoint singularities (e.g. a
-    # 1/log factor at zero) have error density far above the local width
-    # share; letting each panel spend up to 1/1024 of the global budget keeps
-    # the total within ~2x budget while making such panels acceptable.
-    budget_floor = total_budget / 1024.0
-
     T = probe.truncation_point
-    count = len(coarse)
+    per_call = None if node_bytes is None else _per_call(node_bytes)
+    count = lo.size
     starved = False
     # (start, value, error) arrays of the panels each level accepts.
     done = []
+    # Halvings from each open panel to its coarse panel.
+    depth = np.zeros(lo.size, dtype=int)
+    # The first `fresh` open panels have no whole yet: the coarse panels, then
+    # a ladder's rungs.  A level evaluates their wholes before all halves, so
+    # the first non-finite panel in call order is the one a wholes-then-halves
+    # engine reports.
+    fresh, whole = lo.size, None
     # Breadth-first: each pass tests every open panel [lo, hi] of one level
     # against its two halves, and all the halves share integrand calls.
-    whole = coarse
-    depth = 0
     while lo.size:
-        if depth:
-            mid, half_lo, half_hi = _halves(lo, hi)
+        # Each panel's left half first.
+        mid = 0.5 * (lo + hi)
+        half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+        if fresh:
+            a, b = np.concatenate([lo[:fresh], half_lo]), np.concatenate([hi[:fresh], half_hi])
+            level = _panel_values(f, a, b, per_call)
+            halves = level[fresh:]
+            whole = level[:fresh] if whole is None else np.concatenate([level[:fresh], whole])
+        else:
             halves = _panel_values(f, half_lo, half_hi, per_call)
+        if not done:
+            # Later levels carry as many panels as the real output size allows.
+            per_call = _per_call(max(whole[0].nbytes, whole.itemsize))
+            # Cumulative sums fold left to right, exactly as a loop of `+` does.
+            scale = np.cumsum(np.abs(whole), axis=0)[-1]
+            if shared_scale:
+                scale = np.maximum(scale, np.max(scale))
+            total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
+            # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
+            # width share is less, so panels at a mild endpoint singularity (a
+            # 1/log factor at 0) can pass; the estimate stays within (1 + k/1024)
+            # budgets for k panels accepted on the floor.
+            budget_floor = total_budget / 1024.0
         left, right = halves[0::2], halves[1::2]
         refined = left + right
         err = np.abs(whole - refined)
@@ -342,16 +358,26 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
         within = (err <= budget).reshape(lo.size, -1).all(axis=1)
         # Failing panels split in order, two new panels each, while the
         # count is under the cap: the first ceil((cap - count) / 2) of them.
-        room = 0 if depth >= _MAX_DEPTH else max(-((count - spec.max_panels) // 2), 0)
-        split = ~within & (np.cumsum(~within) <= room)
-        count += 2 * int(np.count_nonzero(split))
+        # A failing origin panel grows a ladder instead when its 12 further
+        # panels fit under the cap and its rungs stay within _MAX_DEPTH.
+        fail = ~within & (depth < _MAX_DEPTH)
+        room = max(-((count - spec.max_panels) // 2), 0)
+        ladder = lo[0] == 0.0 and fail[0] and depth[0] + _LADDER < _MAX_DEPTH and room > _LADDER // 2
+        split = fail & (np.cumsum(fail) <= room - ladder * (_LADDER // 2))
+        count += 2 * int(np.count_nonzero(split)) + ladder * _LADDER
         keep = ~split
         starved = starved or not within[keep].all()
         done.append((lo[keep], refined[keep], err[keep]))
         edges = np.stack([lo, mid, hi], 1)[split]
         lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
         whole = np.stack([left[split], right[split]], 1).reshape((-1,) + left.shape[1:])
-        depth += 1
+        depth = np.repeat(depth[split] + 1, 2)
+        fresh = 0
+        if ladder:
+            rungs = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
+            lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
+            depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
+            whole, fresh = whole[1:], _RUNG_DEPTHS.size
 
     starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(starts, kind="stable")

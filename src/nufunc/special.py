@@ -85,8 +85,9 @@ def _rational(num, den, t):
     return p / q
 
 
-def _lanczos_sum_scaled(x):
-    """Evaluate the scaled Lanczos rational at x > 0 (array-capable).
+def _lanczos_sum_scaled(x, x_min):
+    """Evaluate the scaled Lanczos rational at an array x > 0 whose
+    smallest element is x_min.
 
     For x >= 1 the polynomials are evaluated in 1/x so the Horner recursion
     stays well conditioned for large arguments; below 1 they are evaluated
@@ -94,13 +95,11 @@ def _lanczos_sum_scaled(x):
     those below 1 clipped to 1, and then overwrites those from their own
     branch, which costs less than gathering and scattering the rest.
     """
-    x = np.asarray(x, dtype=float)
-    big = x >= 1.0
     # Both polynomials share the x^12 scaling, so the ratio is unchanged.
-    if big.all():
+    if x_min >= 1.0:
         return _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x)
     out = _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / np.maximum(x, 1.0))
-    small = ~big
+    small = x < 1.0
     out[small] = _rational(_LANCZOS_NUM, _LANCZOS_DEN, x[small])
     return out
 
@@ -141,12 +140,14 @@ def log_gamma(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return _log_gamma_scalar(float(x))
     arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    # A NaN propagates through both; an empty array passes.
+    x_min = arr.min(initial=math.inf)
+    if not (x_min > 0.0 and arr.max(initial=0.0) < math.inf):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     # The rational sum absorbs the sqrt(2*pi) prefactor of the Stirling-type
     # formula, so ln Gamma(x) = (x - 1/2) [ln(x + g - 1/2) - 1] + ln L(x).
     base = arr + (_LANCZOS_G - 0.5)
-    return (arr - 0.5) * (np.log(base) - 1.0) + np.log(_lanczos_sum_scaled(arr))
+    return (arr - 0.5) * (np.log(base) - 1.0) + np.log(_lanczos_sum_scaled(arr, x_min))
 
 
 def _sinpi(x):

@@ -66,6 +66,8 @@ def test_criterion_01_laplace_transform():
     _line(1, ok, f"id 4.19 at s in {{2, e, 5}}: worst rel err "
                  f"{worst_rel:.3e} (tol 1e-6), slowest case {worst_ms:.0f} ms (< 5000)")
     assert ok
+    # The converged residual: a few ulps of accumulated rounding.
+    assert worst_rel <= 1e-14
 
 
 def test_criterion_02_elementary_weight_integral():
@@ -77,6 +79,7 @@ def test_criterion_02_elementary_weight_integral():
     _line(2, ok, f"id 4.18 at x in {{2, e, 10}}: worst rel err "
                  f"{worst_rel:.3e} (tol 1e-6)")
     assert ok
+    assert worst_rel <= 1e-14
 
 
 def test_criterion_03_log_shifted_weight():

@@ -266,6 +266,66 @@ def test_alpha_batch_rows_agree_with_one_argument_calls(alpha):
         assert _agrees(v, e, nu_alpha_detailed(w, alpha, SPEC))
 
 
+# name -> (batched call, owner and name of its node-only term, 720 arguments,
+# engine levels).  15 nodes of 720 float64 components exceed half the 128 KiB
+# call bound, so every integrand call carries one panel.
+HOISTED_TERMS = {
+    "nu": (
+        lambda ws: nu_general_batch_detailed(PLAIN, ws, SPEC),
+        StructureFn, "log_rho_continuous", np.geomspace(1e-3, 300.0, 720), 2,
+    ),
+    # 1/Gamma(E - 0.5) changes sign at E = 0.5; panels 0.5 wide pass at once.
+    "nu_alpha": (
+        lambda ws: nu_alpha_batch_detailed(ws, -1.5, SPEC),
+        NU_MODULE, "reciprocal_gamma_log_signed", np.geomspace(1.5, 2.5, 720), 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HOISTED_TERMS))
+def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypatch):
+    call, owner, attr, ws, n_levels = HOISTED_TERMS[name]
+    quad = importlib.import_module("nufunc.quadrature")
+    term, panel_values, engine = getattr(owner, attr), quad._panel_values, quad.integrate_vector_semi_infinite
+    term_nodes, levels, engine_args = [], [], []
+
+    def counted_term(*args):
+        if np.ndim(args[-1]):  # the probe's scalar calls aside
+            term_nodes.append(np.size(args[-1]))
+        return term(*args)
+
+    def counted_level(f, a, b, per_call):
+        calls = []
+        levels.append(calls)
+
+        def g(E, *terms):
+            calls.append(E.size)
+            return f(E, *terms)
+
+        g.node_terms = f.node_terms
+        return panel_values(g, a, b, per_call)
+
+    def captured_engine(f, probe, spec, max_panel_width=None, shared_scale=True):
+        engine_args.append((f, probe, max_panel_width, shared_scale))
+        return engine(f, probe, spec, max_panel_width, shared_scale)
+
+    monkeypatch.setattr(owner, attr, counted_term)
+    monkeypatch.setattr(quad, "_panel_values", counted_level)
+    monkeypatch.setattr(NU_MODULE, "integrate_vector_semi_infinite", captured_engine)
+    res = call(ws)
+    monkeypatch.undo()
+    assert len(levels) == n_levels and all(set(calls) == {15} for calls in levels)
+    # One term evaluation per level, over all of the level's nodes.
+    assert term_nodes == [sum(calls) for calls in levels]
+    # A one-argument integrand without the hook, as a tracer's wrapper is,
+    # gets the same bits from a term evaluated per call.
+    (f, probe, width, shared), = engine_args
+    values, errors, panels = engine(lambda E: f(E), probe, SPEC, width, shared)
+    assert values.tobytes() == res.value.tobytes()
+    assert errors.tobytes() == res.error_estimate.tobytes()
+    assert panels == res.panel_count
+
+
 def _error_text(call, *args):
     with pytest.raises(DomainError) as exc:
         call(*args)

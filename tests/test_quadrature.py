@@ -12,6 +12,7 @@ from nufunc.quadrature import (
     _CALL_BYTES,
     _GL_NODES,
     _GL_WEIGHTS,
+    _LADDER,
     _MAX_DEPTH,
     IntegrandProbe,
     QuadSpec,
@@ -159,11 +160,20 @@ def _log_singular(t):
 
 def test_endpoint_log_singularity_is_absorbed():
     # d/dt of t*(1 - ln t) = -ln t: infinite derivative at 0 exercises the
-    # fixed-slice budget floor; integral of -ln t over [0,1] = 1, and beyond
-    # 1 the test integrand is cut smoothly by e^(1-t).
+    # origin ladder and the fixed-slice budget floor; integral of -ln t over
+    # [0,1] = 1, and beyond 1 the test integrand is cut smoothly by e^(1-t).
     probe = IntegrandProbe(peak_location=0.0, truncation_point=250.0, peak_log_value=0.0)
-    val = integrate_semi_infinite(_log_singular, probe, SPEC)
-    assert val.real == pytest.approx(2.0, rel=1e-9)
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return _log_singular(t)
+
+    res = integrate_semi_infinite_detailed(counted, probe, SPEC)
+    assert complex(res.value).real == pytest.approx(2.0, rel=1e-9)
+    assert abs(res.value - 2.0) <= res.error_estimate
+    # One level per halving toward 0 would take 30 calls.
+    assert len(calls) <= 20
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +183,9 @@ def test_endpoint_log_singularity_is_absorbed():
 
 def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False):
     """The depth-first engine: one integrand call per panel, recursing on
-    each panel's halves before moving to the next.  Kept as the reference
-    the breadth-first engine must reproduce bit for bit."""
+    each panel's halves before moving to the next, and on the rungs of a
+    failing origin panel's ladder.  Kept as the reference the breadth-first
+    engine must reproduce bit for bit."""
 
     def panel_value(a, b):
         mid = 0.5 * (a + b)
@@ -208,8 +219,15 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
             state["starved"] |= not within
             accepted.append((a, refined, err))
             return
-        state["count"] += 2
-        recurse(a, mid, left, depth + 1)
+        if a == 0.0 and depth + _LADDER < _MAX_DEPTH:
+            # The left half [0, mid] becomes rungs [0, mid/2^12], ..., [mid/2, mid].
+            state["count"] += 2 + _LADDER
+            edges = [0.0] + [mid * 0.5**k for k in range(_LADDER, -1, -1)]
+            for k, (ra, rb) in enumerate(zip(edges[:-1], edges[1:])):
+                recurse(ra, rb, panel_value(ra, rb), depth + 1 + min(_LADDER + 1 - k, _LADDER))
+        else:
+            state["count"] += 2
+            recurse(a, mid, left, depth + 1)
         recurse(mid, b, right, depth + 1)
 
     for (a, b), whole in zip(zip(bounds[:-1], bounds[1:]), coarse):
@@ -435,7 +453,11 @@ _STARVE_PROBE = IntegrandProbe(peak_location=1.0, truncation_point=60.0, peak_lo
 # name -> (integrand, probe, max_panels, message, estimate, error bound).
 # Figures of the per-panel engine.  A cap of 8 stops every split, as the 16
 # coarse panels already exceed it; a cap of 21 lets the first three failing
-# panels of the first level split; t^-0.5 stops at _MAX_DEPTH instead.
+# panels of the first level split; t^-0.5 stops at _MAX_DEPTH instead, after
+# four ladders (13 halvings each) and eight bisections toward 0.  The
+# log-singular integrand's 13 coarse panels leave a cap of 20 no room for a
+# ladder, so its origin panel bisects, with the figures of an engine without
+# ladders; a cap of 26 fits one ladder of 14 panels.
 _STARVED_CASES = {
     "scalar-cap-8": (
         lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 8,
@@ -461,8 +483,18 @@ _STARVED_CASES = {
     ),
     "depth-cap": (
         lambda t: t**-0.5, IntegrandProbe(0.0, 1.0, 0.0), 4000,
-        "panel budget exhausted (133 panels, max 4000)",
+        "panel budget exhausted (85 panels, max 4000)",
         1.9999999999994218, 2.397710340431376e-13,
+    ),
+    "ladder-over-cap": (
+        _log_singular, IntegrandProbe(0.0, 250.0, 0.0), 20,
+        "panel budget exhausted (21 panels, max 20)",
+        1.9999824424513695, 3.2668630050792374e-05,
+    ),
+    "ladder-under-cap": (
+        _log_singular, IntegrandProbe(0.0, 250.0, 0.0), 26,
+        "panel budget exhausted (27 panels, max 26)",
+        2.0000377007900894, 5.8707441028864435e-05,
     ),
 }
 

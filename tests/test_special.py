@@ -63,6 +63,11 @@ def test_log_gamma_rejects_nonpositive_and_nonfinite():
         log_gamma(np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
         log_gamma(float("nan"))
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        arr = np.array([3.0, bad, 0.5])
+        with pytest.raises(DomainError, match=r"^log_gamma requires x > 0, got array\("):
+            log_gamma(arr)
+    assert log_gamma(np.array([])).tolist() == []
 
 
 def test_digamma_reference_points():
