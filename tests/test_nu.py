@@ -1,7 +1,9 @@
 """Unit tests for the nu-function family evaluators."""
 
 import importlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -507,3 +509,32 @@ def test_nu_probe_solves_a_convex_falling_log_integrand_from_the_left(monkeypatc
             return E * log_r - sf.log_rho_scalar(E)
 
         assert T == pytest.approx(locate_peak(g, 0.5).truncation_point, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Committed reference table (50-digit values; no mpmath at test time)
+# ---------------------------------------------------------------------------
+
+REFERENCE_ROWS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "nu_reference.json").read_text()
+)["rows"]
+
+
+def _reference_call(row):
+    """The evaluator's IntegrationResult and the reference value of one row."""
+    w = complex(*row["w"])
+    if row["family"] == "alpha":
+        res = nu_alpha_detailed(w.real, row["alpha"], SPEC)
+    else:
+        a, b = row["a"], row["b"]
+        sf = StructureFn(HyperParams(len(a), len(b), a, b))
+        res = nu_general_detailed(sf, w, SPEC)
+    return res, complex(*map(float, row["value"]))
+
+
+@pytest.mark.parametrize(
+    "row", REFERENCE_ROWS, ids=lambda r: f"{r['family']}-{r['alpha']}-{complex(*r['w'])}"
+)
+def test_reference_table_row_meets_its_bound(row):
+    res, ref = _reference_call(row)
+    assert abs(complex(res.value) - ref) <= row["rel_bound"] * abs(ref)
