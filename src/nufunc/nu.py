@@ -344,16 +344,21 @@ def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
     # Keep the peak search to the right of the last zero of 1/Gamma.
     hint = max(_peak_hint(log_r) - alpha, -alpha - 1.0 + 1.5, 0.05)
     probe = locate_peak(log_mod, hint)
+    # 1/Gamma(alpha+E+1) changes sign only left of -alpha-1; panels there
+    # and 2 beyond are capped so the sign lobes are resolved.
     max_width = 0.5 if alpha <= -0.5 else None
-    return _engine(f, probe, spec, c, max_width, shared_scale=False)
+    cap_end = max(-alpha - 1.0, 0.0) + 2.0
+    return _engine(f, probe, spec, c, max_width, shared_scale=False, cap_end=cap_end)
 
 
-def _engine(f, probe, spec, c, max_width, shared_scale) -> IntegrationResult:
+def _engine(f, probe, spec, c, max_width, shared_scale, cap_end=math.inf) -> IntegrationResult:
     """Scalar engine for a scalar `c`; shared panel tree for an array."""
     if np.ndim(c) == 0:
-        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width=max_width)
+        return integrate_semi_infinite_detailed(
+            f, probe, spec, max_panel_width=max_width, cap_end=cap_end
+        )
     values, errors, panels = integrate_vector_semi_infinite(
-        f, probe, spec, max_panel_width=max_width, shared_scale=shared_scale
+        f, probe, spec, max_panel_width=max_width, shared_scale=shared_scale, cap_end=cap_end
     )
     return IntegrationResult(values, errors, panels)
 

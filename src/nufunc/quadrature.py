@@ -1,19 +1,20 @@
 """Deterministic quadrature over [0, inf) and over the complex plane in polar form.
 
-The central engine is an adaptive composite Gauss-Legendre rule (15-point
-panels, bisection) that integrates vector-valued integrands: all components
-share one panel tree, each panel is accepted only when the whole-vs-halves
-discrepancy fits inside a width-proportional error budget, and the final sum
-runs over panels sorted by interval start so results are bit-for-bit
+The central engine is an adaptive composite Gauss-Kronrod rule (31-point
+Kronrod panels with their embedded 15-point Gauss-Legendre rule, bisection)
+that integrates vector-valued integrands: all components share one panel
+tree, and a panel is accepted when its error estimate, the larger of
+|K31 - G15| and one ulp of the K31 integral of |f|, fits inside a
+width-proportional error budget.  The accepted value is K31, and the final
+sum runs over panels sorted by interval start so results are bit-for-bit
 reproducible regardless of evaluation order.
 
-Refinement is breadth-first.  Each level tests every open panel against its
-two halves, and the halves of the whole level share integrand calls.  The
-first level evaluates the coarse panels and their halves in the same calls.
-A failing panel [0, 2h] splits its left half into a geometric ladder of
-rungs [0, h/2^12], [h/2^12, h/2^11], ..., [h/2, h] (hp-grading toward a
-singular origin), whose wholes share the next level's calls; depth counts
-halvings, so no panel is narrower than 2^-60 of its coarse panel.
+Refinement is breadth-first.  Each level evaluates every open panel once,
+at its 31 nodes, and the whole level shares integrand calls.  A failing
+panel bisects, except that a failing panel [0, 2h] splits its left half
+into a geometric ladder of rungs [0, h/2^12], [h/2^12, h/2^11], ...,
+[h/2, h] (hp-grading toward a singular origin); depth counts halvings, so
+no panel is narrower than 2^-60 of its coarse panel.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
 than the bound gets one panel per call.  The scalar entry sizes the first
@@ -25,10 +26,10 @@ the components of an inner batch.  An integrand's node-only term (ln rho
 for nu) is evaluated once per level and sliced for each call.
 
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
-one stacked weights-times-values product, and the acceptance test, the panel
-cap and the final position-ordered sum each run over a level at once.  Both
-the stacked product and the cumulative sums add in the same order as a
-per-panel loop would, so results are bit-identical to it.
+one stacked (2, 31) weights-times-values product, and the acceptance test,
+the panel cap and the final position-ordered sum each run over a level at
+once.  Both the stacked product and the cumulative sums add in the same
+order as a per-panel loop would, so results are bit-identical to it.
 
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the domain
 is cut where the log-integrand has dropped 100*ln(10) below its peak, far
@@ -77,7 +78,50 @@ _SCALAR_NODE_BYTES = 16
 # Angles of the polar trapezoid rule.
 _ANGULAR_POINTS = 64
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# The 31-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk31; Piessens et
+# al., *QUADPACK*, Springer 1983): the abscissae >= 0, largest first, and
+# their Kronrod weights.  Entries 1, 3, ..., 15 are the nodes of the embedded
+# 15-point Gauss-Legendre rule, whose weights follow.
+_XGK = (
+    0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
+    0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
+    0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
+    0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
+    0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
+    0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
+    0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
+    0.101142066918717499027074231447392, 0.0,
+)
+_WGK = (
+    0.005377479872923348987792051430128, 0.015007947329316122538374763075807,
+    0.025460847326715320186874001019653, 0.035346360791375846222037948478360,
+    0.044589751324764876608227299373280, 0.053481524690928087265343147239430,
+    0.062009567800670640285139230960803, 0.069854121318728258709520077099147,
+    0.076849680757720378894432777482659, 0.083080502823133021038289247286104,
+    0.088564443056211770647275443693774, 0.093126598170825321225486872747346,
+    0.096642726983623678505179907627589, 0.099173598721791959332393173484603,
+    0.100769845523875595044946662617570, 0.101330007014791549017374792767493,
+)
+_WG = (
+    0.030753241996117268354628393577204, 0.070366047488108124709267416450667,
+    0.107159220467171935011869546685869, 0.139570677926154314447804794511028,
+    0.166269205816993933553200860481209, 0.186161000015562211026800561866423,
+    0.198431485327111576456118326443839, 0.202578241925561272880620199967519,
+)
+
+
+def _kronrod_rule():
+    """The 31 nodes in ascending order, and the (2, 31) weights: the K31 row,
+    then the G15 row, which is 0 at the Kronrod-only nodes."""
+    gauss = np.zeros(16)
+    gauss[1::2] = _WG
+    half = np.array([_WGK, gauss])
+    x = np.array(_XGK)
+    return np.concatenate([-x[:-1], x[::-1]]), np.concatenate([half[:, :-1], half[:, ::-1]], 1)
+
+
+_KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_rule()
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -222,12 +266,13 @@ def locate_peak(log_integrand, hint) -> IntegrandProbe:
 
 
 def _panel_values(f, a, b, per_call):
-    """15-point Gauss-Legendre estimates of the integral of f over each panel
-    [a[k], b[k]], from calls of f on the nodes of at most `per_call` panels.
-    With `per_call` None the first call carries one panel, and the bytes per
-    node of its output size the rest.
+    """31-point Kronrod and embedded 15-point Gauss estimates of the integral
+    of f over each panel [a[k], b[k]], and the Kronrod estimate of the
+    integral of |f|, from calls of f on the nodes of at most `per_call`
+    panels.  With `per_call` None the first call carries one panel, and the
+    bytes per node of its output size the rest.
 
-    f maps a node array (n,) to values of shape (n,) or (n, m); the result
+    f maps a node array (n,) to values of shape (n,) or (n, m); each result
     has shape (P,) or (P, m) for P panels.  When f has a `node_terms`
     attribute, `f.node_terms(nodes)` gives a tuple of node-only arrays once
     for all nodes, and each call is f(nodes, *terms) with their slices.
@@ -236,11 +281,11 @@ def _panel_values(f, a, b, per_call):
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _GL_NODES
+    x = mid[:, None] + half[:, None] * _KRONROD_NODES
     node_terms = getattr(f, "node_terms", None)
     terms = () if node_terms is None else node_terms(x.ravel())
-    n = _GL_NODES.size
-    sums = []
+    n = _KRONROD_NODES.size
+    sums, moduli = [], []
     s = 0
     while s < a.size:
         k = per_call or 1
@@ -253,20 +298,23 @@ def _panel_values(f, a, b, per_call):
             raise NonFinite(
                 f"integrand returned non-finite values on [{a[j]:.6g}, {b[j]:.6g}]"
             )
-        # A stack of (1, 15) @ (15, m) products adds each panel's terms in
-        # the order a per-panel tensordot does; `y @ w` and einsum do not.
-        # BLAS sums strided operands in another order, hence the C layout.
-        shape = y.shape[:1] + y.shape[2:]
+        # A stack of (2, 31) @ (31, m) products adds each panel's terms in
+        # the order a per-panel tensordot with the (2, 31) weights does;
+        # `y @ w` and einsum do not.  BLAS sums strided operands in another
+        # order, hence the C layout.
+        shape = y.shape[:1] + (2,) + y.shape[2:]
         y = np.ascontiguousarray(y).reshape(len(y), n, -1)
-        sums.append(np.matmul(_GL_WEIGHTS[None, :], y).reshape(shape))
+        sums.append(np.matmul(_KRONROD_WEIGHTS, y).reshape(shape))
+        moduli.append(np.matmul(_KRONROD_WEIGHTS[:1], np.abs(y)).reshape(shape[:1] + shape[2:]))
         if per_call is None:
-            per_call = _per_call(max(sums[0][0].nbytes, sums[0].itemsize))
+            per_call = _per_call(max(sums[0][0, 0].nbytes, sums[0].itemsize))
         s += k
-    sums = np.concatenate(sums)
-    return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
+    sums, moduli = np.concatenate(sums), np.concatenate(moduli)
+    half = half.reshape(half.shape + (1,) * (moduli.ndim - 1))
+    return half * sums[:, 0], half * sums[:, 1], half * moduli
 
 
-def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
+def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf):
     T = probe.truncation_point
     pts = {0.0, T}
     # Geometric ladder toward zero picks up sharply-varying behavior there.
@@ -280,12 +328,14 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
             v = pk * frac
             if 0.0 < v < T:
                 pts.add(v)
+    if max_panel_width is not None and 0.0 < cap_end < T:
+        pts.add(cap_end)
     bounds = sorted(pts)
     if max_panel_width is not None and max_panel_width > 0.0:
         refined = [bounds[0]]
         for right in bounds[1:]:
             left = refined[-1]
-            n_cut = int(math.ceil((right - left) / max_panel_width))
+            n_cut = int(math.ceil((right - left) / max_panel_width)) if left < cap_end else 1
             for k in range(1, n_cut):
                 refined.append(left + (right - left) * k / n_cut)
             refined.append(right)
@@ -295,10 +345,12 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width):
 
 def _per_call(node_bytes):
     """Panels per integrand call that keep its output within `_CALL_BYTES`."""
-    return max(_CALL_BYTES // (_GL_NODES.size * node_bytes), 1)
+    return max(_CALL_BYTES // (_KRONROD_NODES.size * node_bytes), 1)
 
 
-def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False, node_bytes=None):
+def _integrate_adaptive(
+    f, probe, spec, max_panel_width=None, shared_scale=False, node_bytes=None, cap_end=math.inf
+):
     """Core adaptive engine over [0, probe.truncation_point].
 
     Returns (value, error_estimate_per_component, panel_count).  When
@@ -307,9 +359,10 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     when the components are phases of one oscillatory family and the
     meaningful accuracy target is absolute on the common envelope.
     `node_bytes`, when given, sizes the first level's calls; otherwise a
-    call on one coarse panel alone measures it.
+    call on one coarse panel alone measures it.  `max_panel_width` caps the
+    coarse panels that start left of `cap_end`.
     """
-    bounds = np.array(_initial_boundaries(probe, max_panel_width))
+    bounds = np.array(_initial_boundaries(probe, max_panel_width, cap_end))
     lo, hi = bounds[:-1], bounds[1:]
     T = probe.truncation_point
     per_call = None if node_bytes is None else _per_call(node_bytes)
@@ -319,29 +372,15 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     done = []
     # Halvings from each open panel to its coarse panel.
     depth = np.zeros(lo.size, dtype=int)
-    # The first `fresh` open panels have no whole yet: the coarse panels, then
-    # a ladder's rungs.  A level evaluates their wholes before all halves, so
-    # the first non-finite panel in call order is the one a wholes-then-halves
-    # engine reports.
-    fresh, whole = lo.size, None
-    # Breadth-first: each pass tests every open panel [lo, hi] of one level
-    # against its two halves, and all the halves share integrand calls.
+    # Breadth-first: each pass evaluates every open panel [lo, hi] of one
+    # level, in order of position, and all of them share integrand calls.
     while lo.size:
-        # Each panel's left half first.
-        mid = 0.5 * (lo + hi)
-        half_lo, half_hi = np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
-        if fresh:
-            a, b = np.concatenate([lo[:fresh], half_lo]), np.concatenate([hi[:fresh], half_hi])
-            level = _panel_values(f, a, b, per_call)
-            halves = level[fresh:]
-            whole = level[:fresh] if whole is None else np.concatenate([level[:fresh], whole])
-        else:
-            halves = _panel_values(f, half_lo, half_hi, per_call)
+        value, gauss, modulus = _panel_values(f, lo, hi, per_call)
         if not done:
             # Later levels carry as many panels as the real output size allows.
-            per_call = _per_call(max(whole[0].nbytes, whole.itemsize))
+            per_call = _per_call(max(value[0].nbytes, value.itemsize))
             # Cumulative sums fold left to right, exactly as a loop of `+` does.
-            scale = np.cumsum(np.abs(whole), axis=0)[-1]
+            scale = np.cumsum(np.abs(value), axis=0)[-1]
             if shared_scale:
                 scale = np.maximum(scale, np.max(scale))
             total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
@@ -350,9 +389,11 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
             # 1/log factor at 0) can pass; the estimate stays within (1 + k/1024)
             # budgets for k panels accepted on the floor.
             budget_floor = total_budget / 1024.0
-        left, right = halves[0::2], halves[1::2]
-        refined = left + right
-        err = np.abs(whole - refined)
+        # |K31 - G15| estimates the error of the G15 value, which the K31
+        # value improves on; the rounding of the sum itself is one ulp of
+        # the integral of |f|, which a cancelling integrand's difference
+        # can fall short of.
+        err = np.maximum(np.abs(value - gauss), _EPS * modulus)
         width = ((hi - lo) / T).reshape((-1,) + (1,) * (err.ndim - 1))
         budget = np.maximum(total_budget * width, budget_floor)
         within = (err <= budget).reshape(lo.size, -1).all(axis=1)
@@ -367,17 +408,15 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
         count += 2 * int(np.count_nonzero(split)) + ladder * _LADDER
         keep = ~split
         starved = starved or not within[keep].all()
-        done.append((lo[keep], refined[keep], err[keep]))
-        edges = np.stack([lo, mid, hi], 1)[split]
+        done.append((lo[keep], value[keep], err[keep]))
+        edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)[split]
         lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
-        whole = np.stack([left[split], right[split]], 1).reshape((-1,) + left.shape[1:])
         depth = np.repeat(depth[split] + 1, 2)
-        fresh = 0
         if ladder:
+            # The origin panel's left half [0, h] becomes the rungs.
             rungs = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
             lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
             depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
-            whole, fresh = whole[1:], _RUNG_DEPTHS.size
 
     starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(starts, kind="stable")
@@ -395,9 +434,11 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
 
 
 def integrate_semi_infinite_detailed(
-    f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None
+    f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None, cap_end=math.inf
 ) -> IntegrationResult:
     """As `integrate_semi_infinite`, but returning the error accounting too.
+    Coarse panels that start left of `cap_end` are at most `max_panel_width`
+    wide.
 
     Raises DomainError when `f` returns other than one value per node.
     """
@@ -412,7 +453,7 @@ def integrate_semi_infinite_detailed(
         return y
 
     value, err, n = _integrate_adaptive(
-        scalar, probe, spec, max_panel_width, node_bytes=_SCALAR_NODE_BYTES
+        scalar, probe, spec, max_panel_width, node_bytes=_SCALAR_NODE_BYTES, cap_end=cap_end
     )
     return IntegrationResult(complex(value), float(err), n)
 
@@ -426,7 +467,9 @@ def integrate_semi_infinite(f, probe: IntegrandProbe, spec: QuadSpec) -> complex
     return integrate_semi_infinite_detailed(f, probe, spec).value
 
 
-def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, shared_scale=True):
+def integrate_vector_semi_infinite(
+    f, probe, spec, max_panel_width=None, shared_scale=True, cap_end=math.inf
+):
     """Vector-valued engine entry: one panel tree serving all components.
 
     With `shared_scale` (default) every component's budget references the
@@ -435,7 +478,7 @@ def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, shared_
     right for batches of same-sign integrands of very different magnitude.
     """
     return _integrate_adaptive(
-        f, probe, spec, max_panel_width=max_panel_width, shared_scale=shared_scale
+        f, probe, spec, max_panel_width=max_panel_width, shared_scale=shared_scale, cap_end=cap_end
     )
 
 

@@ -10,8 +10,8 @@ from nufunc import nu
 from nufunc.errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
     _CALL_BYTES,
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
     _LADDER,
     _MAX_DEPTH,
     IntegrandProbe,
@@ -27,6 +27,7 @@ from nufunc.quadrature import (
 )
 
 SPEC = QuadSpec()
+EPS = float(np.finfo(float).eps)
 
 
 def test_quadspec_validation():
@@ -36,6 +37,35 @@ def test_quadspec_validation():
         QuadSpec(max_panels=2)
     with pytest.raises(ValueError):
         QuadSpec(abs_floor=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# The 31-point Kronrod rule and its embedded 15-point Gauss rule
+# ---------------------------------------------------------------------------
+
+
+def test_kronrod_rule_embeds_the_15_point_gauss_rule():
+    gauss = _KRONROD_WEIGHTS[1] != 0.0
+    assert np.count_nonzero(gauss) == 15 and np.all(gauss[1::2]) and not np.any(gauss[::2])
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert np.all(np.abs(_KRONROD_NODES[gauss] - nodes) <= 2 * np.spacing(np.abs(nodes)))
+    # leggauss's own weights are up to 38 ulps from the correctly rounded
+    # 50-digit ones, which the rule holds; exactness below pins them closer.
+    assert np.all(np.abs(_KRONROD_WEIGHTS[1, gauss] - weights) <= 40 * np.spacing(weights))
+    assert _KRONROD_WEIGHTS[1, 15] == 0.2025782419255613 and _KRONROD_NODES[15] == 0.0
+    # Symmetric about the centre, ascending.
+    assert np.all(np.diff(_KRONROD_NODES) > 0.0)
+    assert np.array_equal(_KRONROD_NODES, -_KRONROD_NODES[::-1])
+    assert np.array_equal(_KRONROD_WEIGHTS, _KRONROD_WEIGHTS[:, ::-1])
+
+
+@pytest.mark.parametrize("row, degree", [(0, 46), (1, 29)])
+def test_kronrod_rows_integrate_polynomials_to_their_degree(row, degree):
+    weights = _KRONROD_WEIGHTS[row]
+    assert math.fsum(weights) == 2.0
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ _KRONROD_NODES**k - exact) <= 4 * EPS
 
 
 def test_gamma_reproduction_small_orders():
@@ -182,22 +212,25 @@ def test_endpoint_log_singularity_is_absorbed():
 
 
 def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False):
-    """The depth-first engine: one integrand call per panel, recursing on
-    each panel's halves before moving to the next, and on the rungs of a
-    failing origin panel's ladder.  Kept as the reference the breadth-first
-    engine must reproduce bit for bit."""
+    """The depth-first engine: one integrand call per panel at its 31
+    Kronrod nodes, recursing on a failing panel's halves before moving to
+    the next, and on the rungs of a failing origin panel's ladder.  Kept as
+    the reference the breadth-first engine must reproduce bit for bit."""
 
-    def panel_value(a, b):
+    def panel(a, b):
+        """The panel's K31 value and its error, max(|K31 - G15|, eps * K31(|f|))."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        y = np.asarray(f(mid + half * _GL_NODES))
+        y = np.asarray(f(mid + half * _KRONROD_NODES))
         assert np.all(np.isfinite(y))
-        return half * np.tensordot(_GL_WEIGHTS, y, axes=(0, 0))
+        kronrod, gauss = half * np.tensordot(_KRONROD_WEIGHTS, y, axes=(1, 0))
+        modulus = half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))
+        return kronrod, np.maximum(np.abs(kronrod - gauss), EPS * modulus)
 
     bounds = _initial_boundaries(probe, max_panel_width)
-    coarse = [panel_value(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    scale = np.abs(coarse[0])
-    for c in coarse[1:]:
+    coarse = [panel(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    scale = np.abs(coarse[0][0])
+    for c, _ in coarse[1:]:
         scale = scale + np.abs(c)
     if shared_scale:
         scale = np.maximum(scale, np.max(scale))
@@ -207,31 +240,27 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     accepted = []
     state = {"count": len(coarse), "starved": False}
 
-    def recurse(a, b, whole, depth):
-        mid = 0.5 * (a + b)
-        left = panel_value(a, mid)
-        right = panel_value(mid, b)
-        refined = left + right
-        err = np.abs(whole - refined)
+    def recurse(a, b, value, err, depth):
         budget = np.maximum(total_budget * ((b - a) / T), budget_floor)
         within = bool(np.all(err <= budget))
         if within or depth >= _MAX_DEPTH or state["count"] >= spec.max_panels:
             state["starved"] |= not within
-            accepted.append((a, refined, err))
+            accepted.append((a, value, err))
             return
+        mid = 0.5 * (a + b)
         if a == 0.0 and depth + _LADDER < _MAX_DEPTH:
             # The left half [0, mid] becomes rungs [0, mid/2^12], ..., [mid/2, mid].
             state["count"] += 2 + _LADDER
             edges = [0.0] + [mid * 0.5**k for k in range(_LADDER, -1, -1)]
             for k, (ra, rb) in enumerate(zip(edges[:-1], edges[1:])):
-                recurse(ra, rb, panel_value(ra, rb), depth + 1 + min(_LADDER + 1 - k, _LADDER))
+                recurse(ra, rb, *panel(ra, rb), depth + 1 + min(_LADDER + 1 - k, _LADDER))
         else:
             state["count"] += 2
-            recurse(a, mid, left, depth + 1)
-        recurse(mid, b, right, depth + 1)
+            recurse(a, mid, *panel(a, mid), depth + 1)
+        recurse(mid, b, *panel(mid, b), depth + 1)
 
-    for (a, b), whole in zip(zip(bounds[:-1], bounds[1:]), coarse):
-        recurse(a, b, whole, 0)
+    for (a, b), (value, err) in zip(zip(bounds[:-1], bounds[1:]), coarse):
+        recurse(a, b, value, err, 0)
     assert not state["starved"]
     accepted.sort(key=lambda item: item[0])
     total, err_total = accepted[0][1], accepted[0][2]
@@ -252,9 +281,9 @@ def _nu_engine_call(w):
     nu_module = importlib.import_module("nufunc.nu")
     seen = []
 
-    def capture(f, probe, spec, max_panel_width=None):
+    def capture(f, probe, spec, max_panel_width=None, cap_end=math.inf):
         seen.append((f, probe, max_panel_width))
-        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width)
+        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width, cap_end)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(nu_module, "integrate_semi_infinite_detailed", capture)
@@ -328,24 +357,24 @@ def _wide_integrand_calls(width, complex_values):
 
 def test_wide_integrand_calls_respect_the_byte_bound():
     nodes = _wide_integrand_calls(64, False)
-    per_call = _CALL_BYTES // (15 * 64 * 8)
-    assert nodes[0] == 15
+    per_call = _CALL_BYTES // (31 * 64 * 8)
+    assert nodes[0] == 31
     # Full calls reach the bound's panel count, and none goes past it.
-    assert len(nodes) > 2 and max(nodes[1:]) == 15 * per_call
+    assert len(nodes) > 2 and max(nodes[1:]) == 31 * per_call
 
 
 def test_complex_integrand_calls_carry_half_the_panels():
-    real = max(_wide_integrand_calls(64, False)) // 15
-    cplx = max(_wide_integrand_calls(64, True)) // 15
+    real = max(_wide_integrand_calls(64, False)) // 31
+    cplx = max(_wide_integrand_calls(64, True)) // 31
     assert real > 1 and cplx == real // 2
 
 
 def test_panel_over_the_byte_bound_gets_one_panel_per_call():
-    # 15 nodes of 1200 float64 values exceed the bound on their own.
+    # 31 nodes of 1200 float64 values exceed the bound on their own.
     width = 1200
-    assert 15 * width * 8 > _CALL_BYTES
+    assert 31 * width * 8 > _CALL_BYTES
     nodes = _wide_integrand_calls(width, False)
-    assert len(nodes) > 2 and set(nodes) == {15}
+    assert len(nodes) > 2 and set(nodes) == {31}
 
 
 def test_nu_of_one_makes_few_integrand_calls():
@@ -384,8 +413,8 @@ def _nan_on_a_half_and_a_coarse_panel(width):
 
 @pytest.mark.parametrize("width", [None, 64])
 def test_nonfinite_names_the_coarse_panel_before_an_earlier_half(width):
-    # Coarse panels come before all halves, so the last coarse panel is
-    # reported, also when width 64 spreads the first level over many calls.
+    # The first level holds the coarse panels alone, so the last coarse panel
+    # is reported, also when width 64 spreads the first level over many calls.
     entry = integrate_semi_infinite_detailed if width is None else integrate_vector_semi_infinite
     message = rf"on \[{_NAN_BOUNDS[-2]:.6g}, {_NAN_BOUNDS[-1]:.6g}\]"
     with pytest.raises(NonFinite, match=message):
@@ -422,11 +451,13 @@ def test_panel_values_match_per_panel_tensordot(width, complex_values, per_call)
     ref = []
     for ak, bk in zip(a, b):
         mid, half = 0.5 * (ak + bk), 0.5 * (bk - ak)
-        ref.append(half * np.tensordot(_GL_WEIGHTS, f(mid + half * _GL_NODES), axes=(0, 0)))
-    ref = np.array(ref)
-    assert got.shape == ref.shape == ((23,) if width is None else (23, width))
-    assert got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
+        y = f(mid + half * _KRONROD_NODES)
+        kronrod, gauss = half * np.tensordot(_KRONROD_WEIGHTS, y, axes=(1, 0))
+        ref.append((kronrod, gauss, half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))))
+    for g, r in zip(got, map(np.array, zip(*ref))):
+        assert g.shape == r.shape == ((23,) if width is None else (23, width))
+        assert g.dtype == r.dtype
+        assert g.tobytes() == r.tobytes()
 
 
 def test_nonfinite_names_first_bad_panel_of_a_later_chunk():
@@ -462,39 +493,39 @@ _STARVED_CASES = {
     "scalar-cap-8": (
         lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 8,
         "panel budget exhausted (16 panels, max 8)",
-        0.008196762000804008, 0.0002055472515828576,
+        0.008196771642483829, 0.00020553760990300478,
     ),
     "vector-cap-8": (
         _three_rates, _STARVE_PROBE, 8,
         "panel budget exhausted (16 panels, max 8)",
-        [0.008196762000804, 0.19230769230295733, 0.49999999999999994],
-        [0.00020554725158283854, 5.005652319490281e-08, 4.683753632722323e-17],
+        [0.008196771642483823, 0.19230769230767272, 0.5],
+        [0.00020553760990300488, 5.00612385498928e-08, 1.119421812745096e-16],
     ),
     "scalar-cap-21": (
         lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 21,
         "panel budget exhausted (22 panels, max 21)",
-        0.008196721370631765, 6.851605958039797e-08,
+        0.008196721312426367, 6.857416446649617e-08,
     ),
     "vector-cap-21": (
         _three_rates, _STARVE_PROBE, 21,
         "panel budget exhausted (22 panels, max 21)",
-        [0.008196721370631758, 0.192307692307683, 0.5],
-        [6.85160595611879e-08, 4.761394443699135e-12, 4.689346453447153e-17],
+        [0.008196721312426361, 0.19230769230769318, 0.5],
+        [6.857416446646409e-08, 4.7715512252712834e-12, 1.1194215982103897e-16],
     ),
     "depth-cap": (
         lambda t: t**-0.5, IntegrandProbe(0.0, 1.0, 0.0), 4000,
         "panel budget exhausted (85 panels, max 4000)",
-        1.9999999999994218, 2.397710340431376e-13,
+        1.9999999999996794, 4.972713157876563e-13,
     ),
     "ladder-over-cap": (
         _log_singular, IntegrandProbe(0.0, 250.0, 0.0), 20,
         "panel budget exhausted (21 panels, max 20)",
-        1.9999824424513695, 3.2668630050792374e-05,
+        1.9999957394076024, 4.750211390533847e-05,
     ),
     "ladder-under-cap": (
         _log_singular, IntegrandProbe(0.0, 250.0, 0.0), 26,
         "panel budget exhausted (27 panels, max 26)",
-        2.0000377007900894, 5.8707441028864435e-05,
+        2.0000173430348838, 3.834968582329207e-05,
     ),
 }
 
