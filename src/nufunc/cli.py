@@ -146,7 +146,7 @@ def _eval_rows(args, parser) -> list:
     elif fn == "pfq":
         sf = _family(args)
         if args.grid is None and args.z is not None:
-            w = parse_complex_literal(args.z) if isinstance(args.z, str) else args.z
+            w = parse_complex_literal(args.z)
             v = pfq_series(sf.params, w)
             rows.append((abs(w), v.real, v.imag, 0.0))
         else:

@@ -31,24 +31,12 @@ from .quadrature import QuadSpec
 from .special import complex_pow, log_gamma
 
 
-def _require_series_domain(sf: StructureFn, z_mod_sq: float) -> None:
-    dom = convergence_domain(sf)
-    if dom.kind == "divergent":
-        raise DomainError("family has no convergent series normalizer")
-    if dom.kind == "unit_disc" and z_mod_sq >= 1.0:
-        raise DomainError(
-            f"series normalizer requires |z|^2 < 1 for this family; got {z_mod_sq}"
-        )
-
-
 def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
     """Coefficient of the n-th basis state: z^n / sqrt(rho(n) * pFq(|z|^2))."""
     if n < 0:
         raise DomainError(f"basis index must be >= 0, got {n}")
     z = complex(z)
-    z_mod_sq = abs(z) ** 2
-    _require_series_domain(sf, z_mod_sq)
-    norm = pfq_series(sf.params, z_mod_sq).real
+    norm = pfq_series(sf.params, abs(z) ** 2).real
     if not (norm > 0.0):
         raise DomainError("series normalizer is not positive")
     rho = rho_discrete(sf, n)

@@ -34,6 +34,7 @@ from .nu import (
 from .quadrature import (
     IntegrandProbe,
     QuadSpec,
+    _LOG_DROP,
     integrate_semi_infinite_detailed,
     integrate_vector_semi_infinite,
     locate_peak,
@@ -56,7 +57,6 @@ __all__ = [
     "suite_passed",
 ]
 
-_LOG_TRUNC = 100.0 * math.log(10.0)
 _PLAIN = StructureFn(HyperParams(0, 0))
 
 # Linear-space values of nu(w) overflow a double once ln(w) pushes the
@@ -161,7 +161,7 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth
     bexp = _weight_exponent(sf)
     rate = 1.0 - 1.0 / x
     growth = max(bexp, 0.0) + extra_growth
-    T = (_LOG_TRUNC + 20.0 + 5.0 * growth) / rate
+    T = (_LOG_DROP + 20.0 + 5.0 * growth) / rate
     if T / x > _EXP_ARG_LIMIT:
         raise DomainError(
             f"scale {x!r} is too close to 1: the inner argument reaches {T / x:.3g} "
@@ -195,7 +195,7 @@ def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None =
             "(the closed form 1/(s ln s) changes sign at s = 1 while the "
             "integral of a positive function cannot)"
         )
-    T = (_LOG_TRUNC + 6.0) / (s - 1.0)
+    T = (_LOG_DROP + 6.0) / (s - 1.0)
     probe = IntegrandProbe(
         peak_location=min(1.0, 0.5 * T), truncation_point=T, peak_log_value=0.0
     )
@@ -318,7 +318,7 @@ def check_eq_4_22(
         math.lgamma(v) for v in shifted_a
     )
     growth = sum(shifted_b) - sum(shifted_a)
-    T_e = (_LOG_TRUNC + 20.0 + 5.0 * max(growth, 0.0)) / ln_c
+    T_e = (_LOG_DROP + 20.0 + 5.0 * max(growth, 0.0)) / ln_c
     probe_e = IntegrandProbe(
         peak_location=min(1.0, 0.5 * T_e), truncation_point=T_e, peak_log_value=0.0
     )
@@ -414,10 +414,7 @@ def check_complex_gaussian(
                 )
                 return np.exp(log_mag) * kernel(E, F)
 
-            value, _, _ = integrate_vector_semi_infinite(
-                inner, probe, spec, shared_scale=False
-            )
-            return value
+            return integrate_vector_semi_infinite(inner, probe, spec).value
 
         lhs = integrate_semi_infinite_detailed(outer, probe, spec).value
     rhs = nu_general(_PLAIN, x * y, spec)
@@ -490,7 +487,7 @@ def check_formal_series_4_21(
         raise DomainError(f"truncation order must be >= 0, got L={L}")
 
     probe_t = IntegrandProbe(
-        peak_location=0.5, truncation_point=_LOG_TRUNC + 6.0, peak_log_value=0.0
+        peak_location=0.5, truncation_point=_LOG_DROP + 6.0, peak_log_value=0.0
     )
 
     def f(t):
@@ -510,9 +507,7 @@ def check_formal_series_4_21(
         return L * math.log(E) - s * E - _log_gamma_scalar(E + 1.0, np.log)
 
     probe_e = locate_peak(log_top, hint=max(1.0, L / (s + 1.0)))
-    moments, _, _ = integrate_vector_semi_infinite(
-        g, probe_e, spec, shared_scale=False
-    )
+    moments = integrate_vector_semi_infinite(g, probe_e, spec).value
     terms = np.real(moments) * s**ls
     partial = np.cumsum(terms)
     rhs = float(partial[-1])

@@ -290,7 +290,7 @@ def _convex_probe(sf: StructureFn, g, log_r: float):
     return None
 
 
-def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False, shared_scale=True):
+def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False):
     """Integral over E >= 0 of exp(c*E) / rho(E) for one exponent
     c = ln|w| + i*arg(w), or for a 1-d array of them on one panel tree.
 
@@ -318,13 +318,13 @@ def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False,
 
     max_im = float(np.max(np.abs(np.imag(c))))
     max_width = 6.0 / max_im if max_im > 1e-9 else None
-    return _engine(f, probe, spec, c, max_width, shared_scale), shift
+    return _engine(f, probe, spec, c, max_width), shift
 
 
 def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
     """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for one
-    c = ln w, or for a 1-d array of them on one panel tree with per-component
-    budgets; `log_r` is the largest ln w."""
+    c = ln w, or for a 1-d array of them on one panel tree; `log_r` is the
+    largest ln w."""
     col = (slice(None),) + (None,) * np.ndim(c)
 
     def f(E, log_abs=None, sign=None):
@@ -348,19 +348,13 @@ def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
     # and 2 beyond are capped so the sign lobes are resolved.
     max_width = 0.5 if alpha <= -0.5 else None
     cap_end = max(-alpha - 1.0, 0.0) + 2.0
-    return _engine(f, probe, spec, c, max_width, shared_scale=False, cap_end=cap_end)
+    return _engine(f, probe, spec, c, max_width, cap_end)
 
 
-def _engine(f, probe, spec, c, max_width, shared_scale, cap_end=math.inf) -> IntegrationResult:
+def _engine(f, probe, spec, c, max_width, cap_end=math.inf) -> IntegrationResult:
     """Scalar engine for a scalar `c`; shared panel tree for an array."""
-    if np.ndim(c) == 0:
-        return integrate_semi_infinite_detailed(
-            f, probe, spec, max_panel_width=max_width, cap_end=cap_end
-        )
-    values, errors, panels = integrate_vector_semi_infinite(
-        f, probe, spec, max_panel_width=max_width, shared_scale=shared_scale, cap_end=cap_end
-    )
-    return IntegrationResult(values, errors, panels)
+    entry = integrate_semi_infinite_detailed if np.ndim(c) == 0 else integrate_vector_semi_infinite
+    return entry(f, probe, spec, max_width, cap_end)
 
 
 def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
@@ -453,7 +447,7 @@ def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> Integratio
         c = c + 1j * np.angle(ws[nz])
     value, error, panels = np.zeros(ws.shape, c.dtype), np.zeros(ws.shape), 0
     if c.size:
-        res, _ = _nu_integral(sf, math.log(float(np.max(abs_w))), c, spec, shared_scale=False)
+        res, _ = _nu_integral(sf, math.log(float(np.max(abs_w))), c, spec)
         value[nz], error[nz], panels = res.value, res.error_estimate, res.panel_count
     return IntegrationResult(value, error, panels)
 
@@ -485,13 +479,10 @@ def nu_alpha_positive_batch(ws, alpha: float, spec: QuadSpec):
 
 
 def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
-    """nu_general on the outer grid w[j,k] = moduli[j] * exp(i*phases[k]).
-
-    One shared panel tree serves every grid point, with budgets referenced
-    to the largest component - appropriate when the grid feeds a single
-    outer integral, so accuracy is absolute on the common scale.  Returns a
-    complex array of shape (len(moduli), len(phases)); rows with modulus 0
-    are exactly 0.
+    """nu_general on the outer grid w[j,k] = moduli[j] * exp(i*phases[k]):
+    the values of nu_general_batch_detailed on that grid, one panel tree
+    with a budget per grid point.  Returns a complex array of shape
+    (len(moduli), len(phases)); rows with modulus 0 are exactly 0.
     """
     moduli = np.asarray(moduli, dtype=float)
     phases = np.asarray(phases, dtype=float)
@@ -499,23 +490,7 @@ def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
         raise DomainError("nu_complex_grid expects 1-d moduli and phases")
     if np.any(moduli < 0.0) or np.any(~np.isfinite(moduli)):
         raise DomainError("nu_complex_grid requires finite moduli >= 0")
-    out = np.zeros((moduli.size, phases.size), dtype=complex)
-    if moduli.size == 0 or phases.size == 0:
-        return out
-    pos = moduli > 0.0
-    if not np.any(pos):
-        return out
-    rpos = moduli[pos]
-    rmax = float(np.max(rpos))
-    _check_domain(sf, rmax)
-
-    # Reduce to the principal interval (-pi, pi].
-    ph = np.mod(phases + math.pi, 2.0 * math.pi) - math.pi
-    ph = np.where(ph <= -math.pi, ph + 2.0 * math.pi, ph)
-    exponents = (np.log(rpos)[:, None] + 1j * ph[None, :]).ravel()
-    res, _ = _nu_integral(sf, math.log(rmax), exponents, spec)
-    out[pos, :] = res.value.reshape(rpos.size, ph.size)
-    return out
+    return nu_general_batch_detailed(sf, moduli[:, None] * np.exp(1j * phases), spec).value
 
 
 def pfq_series(params: HyperParams, w) -> complex:

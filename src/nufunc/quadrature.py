@@ -3,11 +3,12 @@
 The central engine is an adaptive composite Gauss-Kronrod rule (31-point
 Kronrod panels with their embedded 15-point Gauss-Legendre rule, bisection)
 that integrates vector-valued integrands: all components share one panel
-tree, and a panel is accepted when its error estimate, the larger of
-|K31 - G15| and one ulp of the K31 integral of |f|, fits inside a
-width-proportional error budget.  The accepted value is K31, and the final
-sum runs over panels sorted by interval start so results are bit-for-bit
-reproducible regardless of evaluation order.
+tree, and a panel is accepted when each component's error estimate, the
+larger of |K31 - G15| and one ulp of the K31 integral of |f|, fits inside
+a width-proportional share of that component's own relative budget.  The
+accepted value is K31, and the final sum runs over panels sorted by
+interval start so results are bit-for-bit reproducible regardless of
+evaluation order.  The scalar and the vector entry return `IntegrationResult`.
 
 Refinement is breadth-first.  Each level evaluates every open panel once,
 at its 31 nodes, and the whole level shares integrand calls.  A failing
@@ -53,8 +54,8 @@ __all__ = [
     "IntegrandProbe",
     "IntegrationResult",
     "locate_peak",
-    "integrate_semi_infinite",
     "integrate_semi_infinite_detailed",
+    "integrate_vector_semi_infinite",
     "integrate_polar_2d",
 ]
 
@@ -157,7 +158,9 @@ class IntegrandProbe:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Value plus the engine's own error accounting (absolute, per component)."""
+    """Value and absolute error estimate, a complex and a float from the
+    scalar entry and one per component from the vector entry, and the
+    number of accepted panels."""
 
     value: object
     error_estimate: float
@@ -348,16 +351,10 @@ def _per_call(node_bytes):
     return max(_CALL_BYTES // (_KRONROD_NODES.size * node_bytes), 1)
 
 
-def _integrate_adaptive(
-    f, probe, spec, max_panel_width=None, shared_scale=False, node_bytes=None, cap_end=math.inf
-):
+def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, cap_end=math.inf):
     """Core adaptive engine over [0, probe.truncation_point].
 
-    Returns (value, error_estimate_per_component, panel_count).  When
-    `shared_scale` is set, every component's error budget is referenced to
-    the largest component's coarse scale instead of its own - appropriate
-    when the components are phases of one oscillatory family and the
-    meaningful accuracy target is absolute on the common envelope.
+    Returns the `IntegrationResult` of every component at once.
     `node_bytes`, when given, sizes the first level's calls; otherwise a
     call on one coarse panel alone measures it.  `max_panel_width` caps the
     coarse panels that start left of `cap_end`.
@@ -381,8 +378,6 @@ def _integrate_adaptive(
             per_call = _per_call(max(value[0].nbytes, value.itemsize))
             # Cumulative sums fold left to right, exactly as a loop of `+` does.
             scale = np.cumsum(np.abs(value), axis=0)[-1]
-            if shared_scale:
-                scale = np.maximum(scale, np.max(scale))
             total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
             # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
             # width share is less, so panels at a mild endpoint singularity (a
@@ -430,15 +425,16 @@ def _integrate_adaptive(
             estimate=total,
             error_bound=err_total,
         )
-    return total, err_total, starts.size
+    return IntegrationResult(total, err_total, starts.size)
 
 
 def integrate_semi_infinite_detailed(
     f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None, cap_end=math.inf
 ) -> IntegrationResult:
-    """As `integrate_semi_infinite`, but returning the error accounting too.
-    Coarse panels that start left of `cap_end` are at most `max_panel_width`
-    wide.
+    """Integrate a scalar f over [0, inf), truncated per `probe`, to
+    spec.rel_tol.  `f` maps a numpy array of nodes to the matching array of
+    (possibly complex) values.  Coarse panels that start left of `cap_end`
+    are at most `max_panel_width` wide.
 
     Raises DomainError when `f` returns other than one value per node.
     """
@@ -452,34 +448,16 @@ def integrate_semi_infinite_detailed(
             )
         return y
 
-    value, err, n = _integrate_adaptive(
+    res = _integrate_adaptive(
         scalar, probe, spec, max_panel_width, node_bytes=_SCALAR_NODE_BYTES, cap_end=cap_end
     )
-    return IntegrationResult(complex(value), float(err), n)
+    return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 
-def integrate_semi_infinite(f, probe: IntegrandProbe, spec: QuadSpec) -> complex:
-    """Integrate f over [0, inf), truncated per `probe`, to spec.rel_tol.
-
-    `f` must accept a numpy array of nodes and return the matching array of
-    (possibly complex) values.
-    """
-    return integrate_semi_infinite_detailed(f, probe, spec).value
-
-
-def integrate_vector_semi_infinite(
-    f, probe, spec, max_panel_width=None, shared_scale=True, cap_end=math.inf
-):
-    """Vector-valued engine entry: one panel tree serving all components.
-
-    With `shared_scale` (default) every component's budget references the
-    largest component's coarse scale - right for phases of one oscillatory
-    family.  Without it each component is held to its own relative scale -
-    right for batches of same-sign integrands of very different magnitude.
-    """
-    return _integrate_adaptive(
-        f, probe, spec, max_panel_width=max_panel_width, shared_scale=shared_scale, cap_end=cap_end
-    )
+def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, cap_end=math.inf):
+    """As the scalar entry, for an f that maps nodes (n,) to values (n, m):
+    one panel tree serves every component, each held to its own budget."""
+    return _integrate_adaptive(f, probe, spec, max_panel_width, cap_end=cap_end)
 
 
 def integrate_polar_2d(g, spec: QuadSpec) -> complex:
@@ -506,5 +484,4 @@ def integrate_polar_2d(g, spec: QuadSpec) -> complex:
         return math.log(m)
 
     probe = locate_peak(log_envelope, hint=1.0)
-    values, _, _ = _integrate_adaptive(stacked, probe, spec)
-    return complex(np.mean(values))
+    return complex(np.mean(_integrate_adaptive(stacked, probe, spec).value))

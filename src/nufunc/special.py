@@ -272,28 +272,15 @@ def digamma(x):
     """psi(x) for x > 0, absolute error <= 1e-12.
 
     Recurrence psi(x) = psi(x+1) - 1/x lifts the argument to >= 10, then the
-    asymptotic (Bernoulli) series finishes the job.
+    asymptotic (Bernoulli) series finishes the job; arrays are mapped
+    element by element.
     """
     if np.isscalar(x) or np.ndim(x) == 0:
         return _digamma_scalar(float(x))
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
-
-    y = np.array(arr, dtype=float, copy=True)
-    acc = np.zeros_like(y)
-    while True:
-        low = y < 10.0
-        if not np.any(low):
-            break
-        acc = np.where(low, acc - 1.0 / y, acc)
-        y = np.where(low, y + 1.0, y)
-
-    u = 1.0 / (y * y)
-    tail = np.zeros_like(y)
-    for c in reversed(_DIGAMMA_ASYMPTOTIC):
-        tail = tail * u + c
-    return acc + np.log(y) - 0.5 / y - u * tail
+    return np.array([_digamma_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 def digamma_inverse(t):

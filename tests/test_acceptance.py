@@ -31,7 +31,7 @@ from nufunc import (
     check_weighted_nu_integral,
     dc_limit_check,
     displacement_expectation,
-    integrate_semi_infinite,
+    integrate_semi_infinite_detailed,
     locate_peak,
     nu,
     nu_general,
@@ -159,7 +159,7 @@ def test_criterion_07_density_normalization():
             return math.log(max(transition_density(sf, u, float(E), SPEC), 1e-300))
 
         probe = locate_peak(log_dens, max(u, 0.5))
-        total = abs(integrate_semi_infinite(dens, probe, SPEC))
+        total = abs(integrate_semi_infinite_detailed(dens, probe, SPEC).value)
         worst_int = max(worst_int, abs(total - 1.0))
     poisson_total = sum(poisson_density_discrete(3.0, n) for n in range(80))
     poisson_dev = abs(poisson_total - 1.0)
@@ -258,7 +258,7 @@ def test_criterion_10_property_suites():
             return k * math.log(t) - t if t > 0 else -t
 
         probe = locate_peak(log_f, max(float(k), 0.5))
-        got = abs(integrate_semi_infinite(f, probe, SPEC))
+        got = abs(integrate_semi_infinite_detailed(f, probe, SPEC).value)
         rel = abs(got - math.factorial(k)) / math.factorial(k)
         worst_gamma = max(worst_gamma, rel)
         if rel > 1e-10:

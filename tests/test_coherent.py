@@ -14,7 +14,7 @@ from nufunc import (
     cs_coefficient_continuous,
     cs_coefficient_discrete,
     dc_limit_check,
-    integrate_semi_infinite,
+    integrate_semi_infinite_detailed,
     kp_coefficient,
     locate_peak,
     overlap_continuous,
@@ -61,6 +61,28 @@ def test_discrete_coefficient_rejects_negative_index():
         cs_coefficient_discrete(PLAIN, 0.5, -1)
 
 
+# (p, q) of a family whose series diverges everywhere, and of one that
+# converges only for |z|^2 < 1; kp_coefficient swaps the roles of a and b.
+_SERIES_DOMAIN_CASES = {
+    "cs": (cs_coefficient_discrete, HyperParams(2, 0, a=(1.0, 1.5)), HyperParams(1, 0, a=(1.5,))),
+    "kp": (kp_coefficient, HyperParams(0, 2, b=(1.0, 1.5)), HyperParams(0, 1, b=(1.5,))),
+}
+
+
+@pytest.mark.parametrize("name", list(_SERIES_DOMAIN_CASES))
+def test_discrete_coefficients_reject_arguments_outside_the_series_domain(name):
+    coefficient, divergent, disc = _SERIES_DOMAIN_CASES[name]
+    with pytest.raises(DomainError):
+        coefficient(StructureFn(divergent), 0.3, 2)
+    for z in (1.0, -1.0j, 0.8 + 0.7j):
+        with pytest.raises(DomainError):
+            coefficient(StructureFn(disc), z, 2)
+    # Inside the unit disc: the series normalizer (1 - |z|^2)^-1.5.
+    z = 0.6 + 0.3j
+    c0 = coefficient(StructureFn(disc), z, 0)
+    assert math.isclose(abs(c0) ** 2, (1.0 - abs(z) ** 2) ** 1.5, rel_tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # continuous coefficients and densities
 # ---------------------------------------------------------------------------
@@ -79,7 +101,7 @@ def test_continuous_density_integrates_to_one():
             return math.log(max(transition_density(sf, u, float(E), SPEC), 1e-300))
 
         probe = locate_peak(log_dens, max(u, 0.5))
-        total = integrate_semi_infinite(dens, probe, SPEC)
+        total = integrate_semi_infinite_detailed(dens, probe, SPEC).value
         assert math.isclose(abs(total), 1.0, rel_tol=1e-7)
 
 

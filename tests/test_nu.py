@@ -317,9 +317,9 @@ def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypa
         g.node_terms = f.node_terms
         return panel_values(g, a, b, per_call)
 
-    def captured_engine(f, probe, spec, max_panel_width=None, shared_scale=True, cap_end=math.inf):
-        engine_args.append((f, probe, max_panel_width, shared_scale, cap_end))
-        return engine(f, probe, spec, max_panel_width, shared_scale, cap_end)
+    def captured_engine(f, probe, spec, max_panel_width=None, cap_end=math.inf):
+        engine_args.append((f, probe, max_panel_width, cap_end))
+        return engine(f, probe, spec, max_panel_width, cap_end)
 
     monkeypatch.setattr(owner, attr, counted_term)
     monkeypatch.setattr(quad, "_panel_values", counted_level)
@@ -331,11 +331,11 @@ def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypa
     assert term_nodes == [sum(calls) for calls in levels]
     # A one-argument integrand without the hook, as a tracer's wrapper is,
     # gets the same bits from a term evaluated per call.
-    (f, probe, width, shared, cap_end), = engine_args
-    values, errors, panels = engine(lambda E: f(E), probe, SPEC, width, shared, cap_end)
-    assert values.tobytes() == res.value.tobytes()
-    assert errors.tobytes() == res.error_estimate.tobytes()
-    assert panels == res.panel_count
+    (f, probe, width, cap_end), = engine_args
+    plain = engine(lambda E: f(E), probe, SPEC, width, cap_end)
+    assert plain.value.tobytes() == res.value.tobytes()
+    assert plain.error_estimate.tobytes() == res.error_estimate.tobytes()
+    assert plain.panel_count == res.panel_count
 
 
 def _error_text(call, *args):
@@ -525,9 +525,8 @@ def test_nu_probe_solves_a_convex_falling_log_integrand_from_the_left(monkeypatc
 # Committed reference table (50-digit values; no mpmath at test time)
 # ---------------------------------------------------------------------------
 
-REFERENCE_ROWS = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "nu_reference.json").read_text()
-)["rows"]
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "nu_reference.json").read_text())
+REFERENCE_ROWS = REFERENCE["rows"]
 
 
 def _reference_call(row):
@@ -548,6 +547,16 @@ def _reference_call(row):
 def test_reference_table_row_meets_its_bound(row):
     res, ref = _reference_call(row)
     assert abs(complex(res.value) - ref) <= row["rel_bound"] * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "row", REFERENCE["log_rows"], ids=lambda r: f"{r['family']}-{r['a']}-{r['b']}-{r['w']}"
+)
+def test_reference_table_log_row_meets_its_bound(row):
+    a, b = row["a"], row["b"]
+    sf = StructureFn(HyperParams(len(a), len(b), a, b))
+    got = nu_general_log(sf, row["w"], SPEC)
+    assert abs(got - float(row["log_value"])) <= row["abs_bound"]
 
 
 def test_reference_table_est_err_bounds_the_error_on_13_rows():

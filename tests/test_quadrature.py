@@ -20,7 +20,6 @@ from nufunc.quadrature import (
     _integrate_adaptive,
     _panel_values,
     integrate_polar_2d,
-    integrate_semi_infinite,
     integrate_semi_infinite_detailed,
     integrate_vector_semi_infinite,
     locate_peak,
@@ -74,9 +73,9 @@ def test_gamma_reproduction_small_orders():
         probe = locate_peak(
             lambda t, k=k: k * math.log(t) - t, hint=max(float(k), 0.5)
         )
-        val = integrate_semi_infinite(
+        val = integrate_semi_infinite_detailed(
             lambda t, k=k: t**k * np.exp(-t), probe, SPEC
-        )
+        ).value
         assert val.real == pytest.approx(float(math.factorial(k)), rel=1e-12)
         assert abs(val.imag) < 1e-12
 
@@ -117,14 +116,14 @@ def test_nonfinite_integrand_is_reported():
             return np.exp(-t) / (t - t)
 
     with pytest.raises(NonFinite):
-        integrate_semi_infinite(bad, probe, SPEC)
+        integrate_semi_infinite_detailed(bad, probe, SPEC)
 
 
 def test_tolerance_not_met_carries_estimate():
     probe = IntegrandProbe(peak_location=1.0, truncation_point=60.0, peak_log_value=0.0)
     tight = QuadSpec(max_panels=8)
     with pytest.raises(ToleranceNotMet) as exc_info:
-        integrate_semi_infinite(lambda t: np.exp(-t) * np.cos(11.0 * t), probe, tight)
+        integrate_semi_infinite_detailed(lambda t: np.exp(-t) * np.cos(11.0 * t), probe, tight)
     assert exc_info.value.estimate is not None
     assert exc_info.value.error_bound is not None
 
@@ -145,21 +144,20 @@ def test_vector_engine_componentwise():
     def f(t):
         return np.stack([np.exp(-t), 2.0 * np.exp(-t), t * np.exp(-t)], axis=-1)
 
-    vals, errs, n = integrate_vector_semi_infinite(f, probe, SPEC, shared_scale=False)
-    assert np.allclose(np.real(vals), [1.0, 2.0, 1.0], rtol=1e-11)
-    assert np.all(np.asarray(errs) >= 0.0)
-    assert n >= 1
+    res = integrate_vector_semi_infinite(f, probe, SPEC)
+    assert np.allclose(np.real(res.value), [1.0, 2.0, 1.0], rtol=1e-11)
+    assert np.all(res.error_estimate >= 0.0)
+    assert res.panel_count >= 1
 
 
 def test_vector_engine_per_component_scale():
-    # Without shared scale, a tiny component is still resolved to its own
-    # relative accuracy.
+    # A tiny component is still resolved to its own relative accuracy.
     probe = locate_peak(lambda t: -t, hint=1.0)
 
     def f(t):
         return np.stack([np.exp(-t), 1e-8 * t * np.exp(-t)], axis=-1)
 
-    vals, _, _ = integrate_vector_semi_infinite(f, probe, SPEC, shared_scale=False)
+    vals = integrate_vector_semi_infinite(f, probe, SPEC).value
     assert np.real(vals[1]) == pytest.approx(1e-8, rel=1e-9)
 
 
@@ -211,7 +209,7 @@ def test_endpoint_log_singularity_is_absorbed():
 # ---------------------------------------------------------------------------
 
 
-def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False):
+def _reference_adaptive(f, probe, spec, max_panel_width=None):
     """The depth-first engine: one integrand call per panel at its 31
     Kronrod nodes, recursing on a failing panel's halves before moving to
     the next, and on the rungs of a failing origin panel's ladder.  Kept as
@@ -232,8 +230,6 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, shared_scale=False
     scale = np.abs(coarse[0][0])
     for c, _ in coarse[1:]:
         scale = scale + np.abs(c)
-    if shared_scale:
-        scale = np.maximum(scale, np.max(scale))
     total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
     budget_floor = total_budget / 1024.0
     T = probe.truncation_point
@@ -304,32 +300,29 @@ _EXP_PROBE = IntegrandProbe(
 )
 _OSC_PROBE = IntegrandProbe(peak_location=0.0, truncation_point=300.0, peak_log_value=0.0)
 
-# name -> () -> (integrand, probe, max_panel_width, shared_scale)
+# name -> () -> (integrand, probe, max_panel_width)
 _ENGINE_CASES = {
-    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None, False),
-    "vector": lambda: (_three_components, _EXP_PROBE, None, False),
-    "vector-shared": lambda: (_three_components, _EXP_PROBE, None, True),
-    "oscillatory-capped": lambda: (
-        lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0, False
-    ),
+    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None),
+    "vector": lambda: (_three_components, _EXP_PROBE, None),
+    "oscillatory-capped": lambda: (lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0),
     "log-singular": lambda: (
-        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None, False
+        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None
     ),
-    "bump": lambda: (_bump, _EXP_PROBE, None, False),
-    "nu(1)": lambda: _nu_engine_call(1.0) + (False,),
-    "nu(2+3j)": lambda: _nu_engine_call(2.0 + 3.0j) + (False,),
+    "bump": lambda: (_bump, _EXP_PROBE, None),
+    "nu(1)": lambda: _nu_engine_call(1.0),
+    "nu(2+3j)": lambda: _nu_engine_call(2.0 + 3.0j),
 }
 
 
 @pytest.mark.parametrize("name", list(_ENGINE_CASES))
 def test_breadth_first_engine_matches_depth_first_reference(name):
-    f, probe, width, shared = _ENGINE_CASES[name]()
-    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, shared_scale=shared)
-    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, shared_scale=shared)
-    for g, r in zip(got[:2], ref[:2]):
+    f, probe, width = _ENGINE_CASES[name]()
+    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width)
+    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width)
+    for g, r in zip((got.value, got.error_estimate), ref[:2]):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
-    assert got[2] == ref[2]
+    assert got.panel_count == ref[2]
     if np.ndim(ref[0]) == 0:
         # The scalar entry sizes its first calls differently, not its sums.
         res = integrate_semi_infinite_detailed(f, probe, SPEC, width)
@@ -349,7 +342,7 @@ def _wide_integrand_calls(width, complex_values):
         wave = np.exp(1j * t) if complex_values else np.cos(t)
         return np.exp(-t[:, None] * rates) * wave[:, None]
 
-    vals, _, _ = integrate_vector_semi_infinite(f, _EXP_PROBE, SPEC, shared_scale=False)
+    vals = integrate_vector_semi_infinite(f, _EXP_PROBE, SPEC).value
     exact = 1.0 / (rates - 1j) if complex_values else rates / (rates**2 + 1.0)
     assert np.allclose(vals, exact, rtol=1e-10)
     return nodes
