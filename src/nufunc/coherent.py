@@ -2,7 +2,8 @@
 
 Provides the basis coefficients of hypergeometric coherent states in both
 the discrete (sum over n, normalized by the pFq series) and continuous
-(integral over E, normalized by nu) representations, their overlaps, the
+(integral over E, normalized by nu) representations, their overlaps (whose
+three nu normalizers share one probe and one panel tree), the
 energy-transition density, the Poisson density of the plain family, the
 dual coefficients with numerator/denominator parameter roles swapped, and
 a diagnostic comparing the series and integral normalizers.
@@ -20,6 +21,7 @@ from .nu import (
     StructureFn,
     convergence_domain,
     nu_general,
+    nu_general_batch_detailed,
     nu_general_detailed,
     nu_general_log,
     pfq_series,
@@ -75,22 +77,21 @@ def overlap_continuous(
 
 
 def _overlap_detailed(sf: StructureFn, z: complex, z2: complex, spec: QuadSpec):
-    """(overlap, error estimate) from one evaluation of each nu integral.
-    The square roots stay apart: their product overflows once
-    |z|^2 + |z2|^2 passes ~709.8, while the overlap is at most 1."""
+    """(overlap, error estimate) from one batched nu call: nu(conj(z)*z2),
+    nu(|z|^2) and nu(|z2|^2) share one probe and one panel tree, each held
+    to its own relative budget.  The square roots stay apart: their product
+    overflows once |z|^2 + |z2|^2 passes ~709.8, while the overlap is at
+    most 1."""
     if abs(z) == 0.0 or abs(z2) == 0.0:
         raise DomainError("continuous normalizer vanishes at z = 0")
-    num = nu_general_detailed(sf, z.conjugate() * z2, spec)
-    den1 = nu_general_detailed(sf, abs(z) ** 2, spec)
-    den2 = nu_general_detailed(sf, abs(z2) ** 2, spec)
-    n1, n2 = den1.value.real, den2.value.real
+    res = nu_general_batch_detailed(sf, [z.conjugate() * z2, abs(z) ** 2, abs(z2) ** 2], spec)
+    (num, n1, n2), (num_err, err1, err2) = res.value.tolist(), res.error_estimate.tolist()
+    n1, n2 = n1.real, n2.real
     if not (n1 > 0.0 and n2 > 0.0):
         raise DomainError("integral normalizer is not positive")
     scale = math.sqrt(n1) * math.sqrt(n2)
-    value = 1.0 + 0.0j if z == z2 else num.value / scale
-    est = num.error_estimate / scale + abs(value) * 0.5 * (
-        den1.error_estimate / n1 + den2.error_estimate / n2
-    )
+    value = 1.0 + 0.0j if z == z2 else num / scale
+    est = num_err / scale + abs(value) * 0.5 * (err1 / n1 + err2 / n2)
     return value, est
 
 

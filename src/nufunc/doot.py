@@ -32,7 +32,13 @@ from dataclasses import dataclass
 
 from .coherent import overlap_continuous
 from .errors import DomainError, ParseError, UnsupportedNode
-from .nu import HyperParams, StructureFn, convergence_domain, nu_general
+from .nu import (
+    HyperParams,
+    StructureFn,
+    convergence_domain,
+    nu_general,
+    nu_general_batch_detailed,
+)
 from .quadrature import QuadSpec
 
 
@@ -326,8 +332,8 @@ def exp_argument_matrix_elements(
         overlap = 1.0 + 0.0j
     else:
         overlap = overlap_continuous(sf, z, z2, spec)
-    nu_plus = nu_general(sf, cmath.exp(z_mod_sq), spec)
-    nu_minus = nu_general(sf, cmath.exp(-z_mod_sq), spec)
+    pair = nu_general_batch_detailed(sf, [cmath.exp(z_mod_sq), cmath.exp(-z_mod_sq)], spec)
+    nu_plus, nu_minus = pair.value.tolist()
 
     exp_minus = NuWrap(sf, Exp(Product((Scalar(-z.conjugate()), SymbolMinus()))))
     exp_plus = NuWrap(sf, Exp(Product((Scalar(z), SymbolPlus()))))

@@ -361,6 +361,8 @@ def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     """As nu_general, but returning the IntegrationResult with its error
     accounting (value, error_estimate, panel_count)."""
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(f"nu_general requires a finite argument, got {w}")
     _check_domain(sf, abs(w))
     if w == 0:
         return IntegrationResult(0j, 0.0, 0)
@@ -389,8 +391,8 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
     is finite long after the linear-scale value has overflowed.
     """
     w = float(w)
-    if not (w > 0.0):
-        raise DomainError(f"nu_general_log requires w > 0, got {w!r}")
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"nu_general_log requires finite w > 0, got {w!r}")
     _check_domain(sf, w)
     log_r = math.log(w)
     res, shift = _nu_integral(sf, log_r, log_r, spec, scaled=True)
@@ -435,9 +437,13 @@ def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> Integratio
     """nu_general at an array of arguments on one probe and panel tree, each
     held to its own relative budget: `value` and `error_estimate` are shaped
     like `ws`.  A zero argument gives 0 with error 0; the exponents are real
-    unless an argument is complex or negative.  The first argument outside
-    the domain raises, as nu_general_detailed would on it."""
+    unless an argument is complex or negative.  A NaN or infinite argument
+    raises first; then the first argument outside the domain raises, as
+    nu_general_detailed would on it."""
     ws = np.asarray(ws)
+    bad = ws[~np.isfinite(ws)]
+    if bad.size:
+        raise DomainError(f"nu_general_batch_detailed requires finite arguments, got {bad[0]}")
     abs_w = np.abs(ws)
     if ws.size:
         _check_domain(sf, float(abs_w.flat[np.argmax(abs_w >= 1.0)]))

@@ -158,7 +158,8 @@ def test_one_normalizer_per_answer(capsys, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     code, _, _ = run_cli(capsys, "eval", "overlap", "--bra", "0.5", "--ket", "0.2+0.1i")
-    assert code == 0 and len(calls) == 3
+    # One panel tree holds nu(conj(z)*z'), nu(|z|^2) and nu(|z'|^2).
+    assert code == 0 and len(calls) == 1
 
 
 def test_eval_density_and_poisson(capsys):

@@ -17,14 +17,17 @@ from nufunc import (
     integrate_semi_infinite_detailed,
     kp_coefficient,
     locate_peak,
+    nu_general_detailed,
     overlap_continuous,
     poisson_density_discrete,
     transition_density,
 )
+from nufunc.coherent import _overlap_detailed
 
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
 CONFLUENT = StructureFn(HyperParams(1, 1, a=(1.0,), b=(2.0,)))
+F11 = StructureFn(HyperParams(1, 1, a=(1.5,), b=(2.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +151,15 @@ def test_overlap_self_is_exactly_one():
 
 
 def test_overlap_is_hermitian():
-    z1 = 0.5 + 0.3j
-    z2 = 0.8 - 0.2j
-    o12 = overlap_continuous(PLAIN, z1, z2, SPEC)
-    o21 = overlap_continuous(PLAIN, z2, z1, SPEC)
-    assert abs(o12 - o21.conjugate()) <= 1e-12 * abs(o12)
+    # Bit for bit: swapping the labels conjugates every normalizer exponent
+    # and permutes the two real ones on the same panel tree.
+    rng = np.random.default_rng(11)
+    pairs = [(0.5 + 0.3j, 0.8 - 0.2j)]
+    pairs += [tuple(complex(*rng.uniform(-2.5, 2.5, 2)) for _ in range(2)) for _ in range(12)]
+    for sf in (PLAIN, CONFLUENT):
+        for z1, z2 in pairs:
+            o12 = overlap_continuous(sf, z1, z2, SPEC)
+            assert o12 == overlap_continuous(sf, z2, z1, SPEC).conjugate()
 
 
 def test_overlap_bounded_by_one():
@@ -177,6 +184,69 @@ def test_overlap_of_large_labels_does_not_overflow():
 def test_overlap_rejects_zero_label():
     with pytest.raises(DomainError):
         overlap_continuous(PLAIN, 0.0, 0.5, SPEC)
+
+
+def _three_tree_overlap(sf, z, z2):
+    """The overlap and its error estimate from three separate nu calls."""
+    num = nu_general_detailed(sf, z.conjugate() * z2, SPEC)
+    den1 = nu_general_detailed(sf, abs(z) ** 2, SPEC)
+    den2 = nu_general_detailed(sf, abs(z2) ** 2, SPEC)
+    n1, n2 = den1.value.real, den2.value.real
+    value = num.value / (math.sqrt(n1) * math.sqrt(n2))
+    est = num.error_estimate / (math.sqrt(n1) * math.sqrt(n2)) + abs(value) * 0.5 * (
+        den1.error_estimate / n1 + den2.error_estimate / n2
+    )
+    return value, est
+
+
+@pytest.mark.parametrize(
+    "sf, z, z2",
+    [
+        (PLAIN, 1.0 + 0.0j, -0.8 + 0.0j),  # conj(z)*z2 on the negative real axis
+        (PLAIN, 0.7j, 0.4 + 0.0j),  # purely imaginary label
+        (PLAIN, 19.0 + 0.0j, 18.9 + 0.0j),
+        (PLAIN, 20.0 + 0.0j, 19.0 + 1.0j),
+        (F11, 1.1 + 0.4j, -0.6 + 0.9j),
+        (F11, 2.0 + 0.0j, 0.3 - 1.2j),
+    ],
+)
+def test_one_tree_overlap_matches_three_separate_normalizers(sf, z, z2):
+    value, est = _overlap_detailed(sf, z, z2, SPEC)
+    ref, ref_est = _three_tree_overlap(sf, z, z2)
+    assert abs(value - ref) <= 10.0 * (est + ref_est)
+    assert overlap_continuous(sf, z, z2, SPEC) == value
+
+
+def _first_error_text(calls):
+    for call in calls:
+        try:
+            call()
+        except DomainError as exc:
+            return str(exc)
+    raise AssertionError("no call raised")
+
+
+@pytest.mark.parametrize("z, z2", [(0.8, 1.3j), (1.2, 0.5), (0.5, -1.2j), (0.5j, 1.5)])
+def test_overlap_unit_disc_error_names_the_first_bad_normalizer(z, z2):
+    # The message is the one the first of nu(conj(z)*z2), nu(|z|^2),
+    # nu(|z2|^2) to leave the unit disc raises on its own.
+    disc = StructureFn(HyperParams(2, 1, a=(1.5, 0.8), b=(2.0,)))
+    z, z2 = complex(z), complex(z2)
+    expect = _first_error_text(
+        [lambda w=w: nu_general_detailed(disc, w, SPEC)
+         for w in (z.conjugate() * z2, abs(z) ** 2, abs(z2) ** 2)]
+    )
+    assert "|w| < 1; got |w| = " in expect
+    with pytest.raises(DomainError) as exc:
+        overlap_continuous(disc, z, z2, SPEC)
+    assert str(exc.value) == expect
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_overlap_rejects_non_finite_labels(bad):
+    for z, z2 in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(DomainError, match="requires finite arguments"):
+            overlap_continuous(PLAIN, z, z2, SPEC)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,23 @@ def test_batches_raise_the_first_bad_rows_error():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_arguments_are_named_before_the_probe(bad):
+    disc = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
+    for sf in (PLAIN, disc):
+        with pytest.raises(DomainError) as exc:
+            nu_general_detailed(sf, bad, SPEC)
+        assert str(exc.value) == f"nu_general requires a finite argument, got {complex(bad)}"
+        with pytest.raises(DomainError) as exc:
+            nu_general_batch_detailed(sf, np.array([0.5, bad, 2.0]), SPEC)
+        assert str(exc.value).startswith("nu_general_batch_detailed requires finite arguments, got ")
+    with pytest.raises(DomainError, match="requires finite arguments"):
+        nu_complex_grid(PLAIN, [1.0], [0.5, math.nan], SPEC)
+    if not isinstance(bad, complex):
+        with pytest.raises(DomainError, match=r"nu_general_log requires finite w > 0, got"):
+            nu_general_log(PLAIN, bad, SPEC)
+
+
 def test_nu_on_circle_matches_pointwise():
     phases = np.array([0.0, 0.9, -0.9, 2.5, math.pi, 4.0])
     vals = nu_on_circle(0.8, phases, PLAIN, SPEC)
