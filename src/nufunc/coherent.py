@@ -41,8 +41,7 @@ def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
     norm = pfq_series(sf.params, abs(z) ** 2).real
     if not (norm > 0.0):
         raise DomainError("series normalizer is not positive")
-    rho = rho_discrete(sf, n)
-    return z**n * math.exp(-0.5 * rho.log_abs) / math.sqrt(norm)
+    return z**n * math.exp(-0.5 * rho_discrete(sf, n)) / math.sqrt(norm)
 
 
 def cs_coefficient_continuous(
@@ -60,8 +59,7 @@ def cs_coefficient_continuous(
     norm = nu_general(sf, z_mod_sq, spec).real
     if not (norm > 0.0):
         raise DomainError("integral normalizer is not positive")
-    rho = rho_continuous(sf, E)
-    return complex_pow(z, E) * math.exp(-0.5 * rho.log_abs) / math.sqrt(norm)
+    return complex_pow(z, E) * math.exp(-0.5 * rho_continuous(sf, E)) / math.sqrt(norm)
 
 
 def overlap_continuous(
@@ -119,7 +117,7 @@ def _density_detailed(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
     if not (norm > 0.0):
         raise DomainError("integral normalizer is not positive")
     log_u = math.log(z_mod_sq)
-    dens = [math.exp(e * log_u - rho_continuous(sf, e).log_abs) / norm for e in energies.flat]
+    dens = [math.exp(e * log_u - rho_continuous(sf, e)) / norm for e in energies.flat]
     return (np.reshape(dens, energies.shape) if energies.ndim else dens[0]), res
 
 
@@ -159,8 +157,7 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
     w = float(w)
     if w < 0.0:
         raise DomainError(f"argument must be >= 0, got {w}")
-    dom = convergence_domain(sf)
-    if dom.kind != "entire":
+    if convergence_domain(sf) != "entire":
         raise DomainError("normalizer comparison requires an entire family")
     if w == 0.0:
         return {

@@ -298,7 +298,7 @@ def displacement_expectation(sf: StructureFn, z: complex, spec: QuadSpec) -> com
     z*conj(z) - conj(z)*z = 0, so the result is the family's nu at 1,
     independent of the label z.
     """
-    if convergence_domain(sf).kind != "entire":
+    if convergence_domain(sf) != "entire":
         raise DomainError("displacement expectation requires an entire family")
     z = complex(z)
     exponent = Sum(

@@ -10,8 +10,10 @@ discrete object is the hypergeometric-type power series sum_n w^n / rho(n).
 
 Family convergence: the integral/series is entire when p <= q, converges on
 the open unit disc when p = q + 1 (rho then grows only polynomially), and is
-divergent for p > q + 1 (rho decays superexponentially).  All rho evaluation
-happens in log space; rho overflows double precision near E ~ 170.
+divergent for p > q + 1 (rho decays superexponentially); `convergence_domain`
+names the case 'entire', 'unit_disc' or 'divergent'.  All rho evaluation
+happens in log space; rho is positive, so ln rho is a plain float.  rho
+itself overflows double precision near E ~ 170.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .quadrature import (
     locate_peak,
 )
 from .special import (
-    LogSigned,
     _digamma_scalar,
     _log_gamma_scalar,
     _trigamma_scalar,
@@ -46,7 +47,6 @@ from .special import (
 __all__ = [
     "HyperParams",
     "StructureFn",
-    "ConvergenceDomain",
     "rho_discrete",
     "rho_continuous",
     "convergence_domain",
@@ -147,23 +147,14 @@ class StructureFn:
         return out
 
 
-@dataclass(frozen=True)
-class ConvergenceDomain:
-    """Where the family's integral/series converges."""
-
-    kind: str  # 'entire' | 'unit_disc' | 'divergent'
-
-
-def convergence_domain(sf: StructureFn) -> ConvergenceDomain:
+def convergence_domain(sf: StructureFn) -> str:
+    """Where the family's integral/series converges: 'entire', 'unit_disc'
+    or 'divergent' (`_check_domain` applies the same rule)."""
     p, q = sf.params.p, sf.params.q
-    if p <= q:
-        return ConvergenceDomain("entire")
-    if p == q + 1:
-        return ConvergenceDomain("unit_disc")
-    return ConvergenceDomain("divergent")
+    return "entire" if p <= q else "unit_disc" if p == q + 1 else "divergent"
 
 
-def rho_discrete(sf: StructureFn, n: int) -> LogSigned:
+def rho_discrete(sf: StructureFn, n: int) -> float:
     """ln[n! * prod (b_j)_n / prod (a_i)_n], built as an explicit product.
 
     The term-by-term log sum keeps this independent of the continuous
@@ -179,15 +170,15 @@ def rho_discrete(sf: StructureFn, n: int) -> LogSigned:
             total += math.log(bj + k)
         for ai in sf.params.a:
             total -= math.log(ai + k)
-    return LogSigned(total, 1.0)
+    return total
 
 
-def rho_continuous(sf: StructureFn, E: float) -> LogSigned:
-    """ln rho(E) for real E >= 0 in log-signed form (sign is always +1)."""
+def rho_continuous(sf: StructureFn, E: float) -> float:
+    """ln rho(E) for real E >= 0; rho is positive there."""
     E = float(E)
     if E < 0.0 or not math.isfinite(E):
         raise DomainError(f"rho_continuous requires E >= 0, got {E!r}")
-    return LogSigned(sf.log_rho_scalar(E), 1.0)
+    return sf.log_rho_scalar(E)
 
 
 _SF_PLAIN = StructureFn(HyperParams(0, 0))
@@ -198,16 +189,16 @@ def _peak_hint(log_abs_w: float) -> float:
     return max(digamma_inverse(log_abs_w) - 1.0, 1e-3)
 
 
-def _check_domain(sf: StructureFn, abs_w: float) -> None:
-    dom = convergence_domain(sf)
-    if dom.kind == "divergent":
+def _check_domain(params: HyperParams, abs_w: float) -> None:
+    p, q = params.p, params.q
+    if p > q + 1:
         raise DivergentFamily(
-            f"family (p={sf.params.p}, q={sf.params.q}) has p > q+1; "
+            f"family (p={p}, q={q}) has p > q+1; "
             "the defining integral diverges for every argument"
         )
-    if dom.kind == "unit_disc" and abs_w >= 1.0:
+    if p == q + 1 and abs_w >= 1.0:
         raise DomainError(
-            f"family (p={sf.params.p}, q={sf.params.q}) converges only for "
+            f"family (p={p}, q={q}) converges only for "
             f"|w| < 1; got |w| = {abs_w:.6g}"
         )
 
@@ -363,7 +354,7 @@ def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     w = complex(w)
     if not cmath.isfinite(w):
         raise DomainError(f"nu_general requires a finite argument, got {w}")
-    _check_domain(sf, abs(w))
+    _check_domain(sf.params, abs(w))
     if w == 0:
         return IntegrationResult(0j, 0.0, 0)
     log_r = math.log(abs(w))
@@ -393,7 +384,7 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
     w = float(w)
     if not 0.0 < w < math.inf:
         raise DomainError(f"nu_general_log requires finite w > 0, got {w!r}")
-    _check_domain(sf, w)
+    _check_domain(sf.params, w)
     log_r = math.log(w)
     res, shift = _nu_integral(sf, log_r, log_r, spec, scaled=True)
     return shift + math.log(res.value.real)
@@ -446,7 +437,7 @@ def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> Integratio
         raise DomainError(f"nu_general_batch_detailed requires finite arguments, got {bad[0]}")
     abs_w = np.abs(ws)
     if ws.size:
-        _check_domain(sf, float(abs_w.flat[np.argmax(abs_w >= 1.0)]))
+        _check_domain(sf.params, float(abs_w.flat[np.argmax(abs_w >= 1.0)]))
     nz = abs_w != 0.0
     c = np.log(abs_w[nz])
     if np.iscomplexobj(ws) or np.any(ws < 0.0):
@@ -505,9 +496,8 @@ def pfq_series(params: HyperParams, w) -> complex:
     Terms are built by the exact ratio recurrence; the sum stops once a term
     falls below 1e-16 of the running sum (cap 10000 terms).
     """
-    sf = StructureFn(params)
     w = complex(w)
-    _check_domain(sf, abs(w))
+    _check_domain(params, abs(w))
     term = 1.0 + 0j
     total = term
     for n in range(_SERIES_CAP):
@@ -532,8 +522,7 @@ def pfq_series_log(params: HyperParams, w: float) -> float:
         raise DomainError(f"pfq_series_log requires w >= 0, got {w!r}")
     if w == 0.0:
         return 0.0
-    sf = StructureFn(params)
-    _check_domain(sf, w)
+    _check_domain(params, w)
     log_w = math.log(w)
     log_terms = [0.0]
     lt = 0.0

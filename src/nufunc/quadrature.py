@@ -15,7 +15,9 @@ at its 31 nodes, and the whole level shares integrand calls.  A failing
 panel bisects, except that a failing panel [0, 2h] splits its left half
 into a geometric ladder of rungs [0, h/2^12], [h/2^12, h/2^11], ...,
 [h/2, h] (hp-grading toward a singular origin); depth counts halvings, so
-no panel is narrower than 2^-60 of its coarse panel.
+no panel is narrower than 2^-60 of its coarse panel.  A panel that still
+fails when `QuadSpec.max_panels` or that depth limit stops it makes the
+call raise `ToleranceNotMet`, whose message names which of the two did.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
 than the bound gets one panel per call.  The scalar entry sizes the first
@@ -64,6 +66,9 @@ _LOG_DROP = 100.0 * math.log(10.0)
 # Hard ceiling for truncation searches.
 _TRUNCATION_CLAMP = 1e6
 _MAX_DEPTH = 60
+# Floor of every component's error budget, for a component so small that
+# rel_tol times it underflows.
+_ABS_FLOOR = 1e-300
 # Halvings of the geometric ladders toward E = 0: the coarse boundaries hold
 # T/2, ..., T/2^12, and a failing origin panel's left half gets 13 rungs.
 _LADDER = 12
@@ -127,10 +132,9 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerance, truncation, and panel policy for the integration engine."""
+    """Relative tolerance and panel budget for the integration engine."""
 
     rel_tol: float = 1e-10
-    abs_floor: float = 1e-300
     max_panels: int = 4000
 
     def __post_init__(self):
@@ -138,8 +142,6 @@ class QuadSpec:
             raise ValueError("QuadSpec.rel_tol must be > 0")
         if self.max_panels < 4:
             raise ValueError("QuadSpec.max_panels must be >= 4")
-        if not (self.abs_floor >= 0.0):
-            raise ValueError("QuadSpec.abs_floor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -364,7 +366,9 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
     T = probe.truncation_point
     per_call = None if node_bytes is None else _per_call(node_bytes)
     count = lo.size
-    starved = False
+    # Whether a failing panel was kept because the cap left no room to
+    # split it, and whether one was kept at _MAX_DEPTH.
+    capped = deep = False
     # (start, value, error) arrays of the panels each level accepts.
     done = []
     # Halvings from each open panel to its coarse panel.
@@ -378,7 +382,7 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
             per_call = _per_call(max(value[0].nbytes, value.itemsize))
             # Cumulative sums fold left to right, exactly as a loop of `+` does.
             scale = np.cumsum(np.abs(value), axis=0)[-1]
-            total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
+            total_budget = np.maximum(spec.rel_tol * scale, _ABS_FLOOR)
             # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
             # width share is less, so panels at a mild endpoint singularity (a
             # 1/log factor at 0) can pass; the estimate stays within (1 + k/1024)
@@ -402,7 +406,8 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
         split = fail & (np.cumsum(fail) <= room - ladder * (_LADDER // 2))
         count += 2 * int(np.count_nonzero(split)) + ladder * _LADDER
         keep = ~split
-        starved = starved or not within[keep].all()
+        capped = capped or bool((fail & keep).any())
+        deep = deep or bool((~within & (depth >= _MAX_DEPTH)).any())
         done.append((lo[keep], value[keep], err[keep]))
         edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)[split]
         lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
@@ -419,9 +424,12 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
     total = np.cumsum(values[order], axis=0)[-1].copy()
     err_total = np.cumsum(errors[order], axis=0)[-1].copy()
 
-    if starved:
+    if capped or deep:
+        causes = ["panel budget exhausted"] if capped else []
+        if deep:
+            causes.append(f"depth limit of {_MAX_DEPTH} halvings reached")
         raise ToleranceNotMet(
-            f"panel budget exhausted ({count} panels, max {spec.max_panels})",
+            f"{' and '.join(causes)} ({count} panels, max {spec.max_panels})",
             estimate=total,
             error_bound=err_total,
         )

@@ -1,8 +1,10 @@
 """Scalar special functions: log-gamma, reciprocal gamma, digamma, Pochhammer.
 
-All gamma-family quantities are computed in log space with explicit signs;
-linear-scale values only appear at the very end of a computation.  Every
-function accepts either a Python float or a numpy array and returns the
+All gamma-family quantities are computed in log space, with an explicit
+sign only where one can be negative (1/Gamma left of the origin);
+linear-scale values only appear at the very end of a computation.
+`log_gamma`, `reciprocal_gamma`, `reciprocal_gamma_log_signed` and
+`digamma` accept either a Python float or a numpy array and return the
 matching kind, so the quadrature layer can evaluate integrands on whole
 node batches at once.
 
@@ -15,14 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "LogSigned",
     "log_gamma",
     "reciprocal_gamma",
     "digamma",
@@ -300,45 +300,15 @@ def digamma_inverse(t):
     return y
 
 
-@dataclass(frozen=True)
-class LogSigned:
-    """A real number stored as log-magnitude plus sign.
-
-    sign is +1.0, -1.0 or 0.0; a zero carries log_abs = -inf.  This is the
-    interchange format for gamma-ratio products that overflow double
-    precision long before their ratios become meaningless.
-    """
-
-    log_abs: float
-    sign: float
-
-    def value(self) -> float:
-        """Convert to linear scale (may overflow to +/-inf by design)."""
-        if self.sign == 0.0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            return float(self.sign * np.exp(self.log_abs))
-
-    @staticmethod
-    def from_value(v: float) -> "LogSigned":
-        if v == 0.0:
-            return LogSigned(float("-inf"), 0.0)
-        return LogSigned(math.log(abs(v)), math.copysign(1.0, v))
-
-
-def pochhammer(x, E) -> LogSigned:
-    """Rising factorial (x)_E = Gamma(x+E)/Gamma(x) for x > 0, E >= 0.
-
-    Returned in log-signed form; the sign is always +1 on this domain, but
-    the representation matches the rest of the gamma-ratio plumbing.
-    """
+def pochhammer(x, E) -> float:
+    """ln of the rising factorial (x)_E = Gamma(x+E)/Gamma(x), x > 0, E >= 0."""
     x = float(x)
     E = float(E)
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"pochhammer requires x > 0, got x={x!r}")
     if E < 0.0 or not math.isfinite(E):
         raise DomainError(f"pochhammer requires E >= 0, got E={E!r}")
-    return LogSigned(log_gamma(x + E) - log_gamma(x), 1.0)
+    return log_gamma(x + E) - log_gamma(x)
 
 
 def complex_pow(w, E):

@@ -78,6 +78,27 @@ def test_parse_exp_and_nu_wrapper():
     assert e.argument == Scalar(0.5 + 0j)
 
 
+def test_parse_parenthesized_atoms():
+    # A parenthesized expression is an atom: it takes a power and a factor
+    # whole, and parentheses around a single atom leave it unchanged.
+    sum_ = Sum((SymbolMinus(), Scalar(1 + 0j)))
+    assert parse_expression("(Ap)") == SymbolPlus()
+    assert parse_expression("(Am+1)*2") == Product((sum_, Scalar(2 + 0j)))
+    assert parse_expression("-(Am+1)^2") == Product((Scalar(-1 + 0j), Power(sum_, 2.0)))
+    val = scalarize(MatrixElementQuery(0.5, 0.5, parse_expression("(Am+1)^2")), PLAIN, SPEC)
+    assert val == pytest.approx(2.25, rel=1e-15)
+    with pytest.raises(ParseError):
+        parse_expression("(Am+1")
+
+
+def test_parse_nu_wrapper_with_multi_entry_lists():
+    e = parse_expression("nu[2,2;1,1.5;2,3](0.5)")
+    family = StructureFn(HyperParams(2, 2, (1.0, 1.5), (2.0, 3.0)))
+    assert e == NuWrap(family, Scalar(0.5 + 0j))
+    val = scalarize(MatrixElementQuery(0.5, 0.5, e), PLAIN, SPEC)
+    assert val == nu_general(family, 0.5 + 0j, SPEC)
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_expression("1/2")  # no division in the grammar

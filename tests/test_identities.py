@@ -14,6 +14,7 @@ from nufunc import (
     IdentityReport,
     QuadSpec,
     StructureFn,
+    ToleranceNotMet,
     check_complex_gaussian,
     check_derivative_relation,
     check_eq_4_20,
@@ -111,6 +112,48 @@ def test_shift_parameter_check_at_zero_shift_matches_weighted_integral():
     rw = check_weighted_nu_integral(PLAIN, 2.0)
     assert abs(r0.lhs - rw.lhs) <= 1e-10 * max(abs(rw.lhs), 1.0)
     assert abs(r0.rhs - rw.rhs) <= 1e-10 * max(abs(rw.rhs), 1.0)
+
+
+# (C, alpha) pairs of the shift-parameter check: shifts on both sides of 0.
+_SHIFT_CASES = ((2.05, 1.0), (2.5, 0.5), (2.0, 0.0), (2.0, -0.5), (3.0, 2.0))
+
+
+@pytest.mark.parametrize("C, alpha", _SHIFT_CASES)
+def test_shift_parameter_rhs_of_the_plain_family_is_closed_form(C, alpha):
+    # The shifted family of the plain one has rho = 1, so the right side is
+    # C**(-alpha) times the integral of C**(-E), which is 1 / ln C.
+    r = check_eq_4_22(PLAIN, C, alpha)
+    assert r.rhs.imag == 0.0
+    assert r.rhs.real == pytest.approx(C**-alpha / math.log(C), rel=1e-14)
+
+
+@pytest.mark.parametrize("b", [2.0, 1.5])
+@pytest.mark.parametrize("C, alpha", _SHIFT_CASES)
+def test_shift_parameter_rhs_matches_the_pochhammer_ratio_integral(b, C, alpha):
+    # The right side as C**(-alpha) Gamma(b+alpha)/Gamma(1+alpha) times the
+    # integral of C**(-E) (b+alpha)_E / (1+alpha)_E, summed by QUADPACK.
+    sf = StructureFn(HyperParams(1, 1, (1.0,), (b,)))
+    sb, sa = b + alpha, 1.0 + alpha
+
+    def h(E):
+        return math.exp(
+            -E * math.log(C)
+            + special.gammaln(sb + E) - special.gammaln(sb)
+            - special.gammaln(sa + E) + special.gammaln(sa)
+        )
+
+    inner = integrate.quad(h, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    expected = C**-alpha * math.exp(special.gammaln(sb) - special.gammaln(sa)) * inner
+    r = check_eq_4_22(sf, C, alpha)
+    assert r.passed
+    assert r.rhs.real == pytest.approx(expected, rel=1e-12)
+
+
+def test_shift_parameter_check_names_the_depth_limit_near_alpha_minus_one():
+    # nu(t/C, alpha) ~ t**alpha near t = 0; at alpha = -0.9 the origin
+    # panels still fail after the 60 halvings the engine allows.
+    with pytest.raises(ToleranceNotMet, match=r"^depth limit of 60 halvings reached \("):
+        check_eq_4_22(PLAIN, 2.0, -0.9)
 
 
 def test_shift_parameter_check_domain_errors():

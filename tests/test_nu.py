@@ -90,10 +90,10 @@ def test_nu_alpha_domain():
 
 
 def test_convergence_classification():
-    assert convergence_domain(StructureFn(HyperParams(0, 0))).kind == "entire"
-    assert convergence_domain(StructureFn(HyperParams(1, 2, (1.0,), (2.0, 3.0)))).kind == "entire"
-    assert convergence_domain(StructureFn(HyperParams(1, 0, (2.0,)))).kind == "unit_disc"
-    assert convergence_domain(StructureFn(HyperParams(2, 0, (1.0, 1.0)))).kind == "divergent"
+    assert convergence_domain(StructureFn(HyperParams(0, 0))) == "entire"
+    assert convergence_domain(StructureFn(HyperParams(1, 2, (1.0,), (2.0, 3.0)))) == "entire"
+    assert convergence_domain(StructureFn(HyperParams(1, 0, (2.0,)))) == "unit_disc"
+    assert convergence_domain(StructureFn(HyperParams(2, 0, (1.0, 1.0)))) == "divergent"
 
 
 def test_divergent_family_rejected():
@@ -130,12 +130,22 @@ def test_general_family_value_against_brute_force():
     assert nu_general(sf, w, SPEC).real == pytest.approx(ref, rel=1e-7)
 
 
+@pytest.mark.parametrize(
+    "params, w",
+    [
+        (HyperParams(1, 1, (1.5,), (2.0,)), 3.0),
+        (HyperParams(1, 2, (0.5,), (2.0, 3.5)), 40.0),
+        (HyperParams(2, 1, (1.0, 1.5), (2.0,)), 0.5),
+    ],
+)
+def test_pfq_series_log_matches_log_of_the_series(params, w):
+    assert pfq_series_log(params, w) == pytest.approx(math.log(pfq_series(params, w).real), rel=1e-14)
+
+
 def test_structure_function_discrete_continuous_agreement():
     sf = StructureFn(HyperParams(1, 1, (1.5,), (2.5,)))
     for n in range(8):
-        assert rho_discrete(sf, n).log_abs == pytest.approx(
-            rho_continuous(sf, float(n)).log_abs, abs=1e-10
-        )
+        assert rho_discrete(sf, n) == pytest.approx(rho_continuous(sf, float(n)), abs=1e-10)
 
 
 # Plain, (1,1), (1,2) and (2,1) families; b = 0.7 puts the (1,2) family's

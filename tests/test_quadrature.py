@@ -9,6 +9,7 @@ import pytest
 from nufunc import nu
 from nufunc.errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
+    _ABS_FLOOR,
     _CALL_BYTES,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
@@ -34,8 +35,6 @@ def test_quadspec_validation():
         QuadSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(max_panels=2)
-    with pytest.raises(ValueError):
-        QuadSpec(abs_floor=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None):
     scale = np.abs(coarse[0][0])
     for c, _ in coarse[1:]:
         scale = scale + np.abs(c)
-    total_budget = np.maximum(spec.rel_tol * scale, spec.abs_floor)
+    total_budget = np.maximum(spec.rel_tol * scale, _ABS_FLOOR)
     budget_floor = total_budget / 1024.0
     T = probe.truncation_point
     accepted = []
@@ -481,7 +480,9 @@ _STARVE_PROBE = IntegrandProbe(peak_location=1.0, truncation_point=60.0, peak_lo
 # four ladders (13 halvings each) and eight bisections toward 0.  The
 # log-singular integrand's 13 coarse panels leave a cap of 20 no room for a
 # ladder, so its origin panel bisects, with the figures of an engine without
-# ladders; a cap of 26 fits one ladder of 14 panels.
+# ladders; a cap of 26 fits one ladder of 14 panels.  With a second
+# singularity at 1/3, the origin reaches _MAX_DEPTH while the bisections
+# toward 1/3 go on until a cap of 120 stops them, so both causes are named.
 _STARVED_CASES = {
     "scalar-cap-8": (
         lambda t: np.exp(-t) * np.cos(11.0 * t), _STARVE_PROBE, 8,
@@ -507,8 +508,13 @@ _STARVED_CASES = {
     ),
     "depth-cap": (
         lambda t: t**-0.5, IntegrandProbe(0.0, 1.0, 0.0), 4000,
-        "panel budget exhausted (85 panels, max 4000)",
+        "depth limit of 60 halvings reached (85 panels, max 4000)",
         1.9999999999996794, 4.972713157876563e-13,
+    ),
+    "depth-and-cap": (
+        lambda t: t**-0.5 + np.abs(t - 1.0 / 3.0) ** -0.5, IntegrandProbe(0.0, 1.0, 0.0), 120,
+        "panel budget exhausted and depth limit of 60 halvings reached (121 panels, max 120)",
+        4.787458117318279, 8.249784861242124e-05,
     ),
     "ladder-over-cap": (
         _log_singular, IntegrandProbe(0.0, 250.0, 0.0), 20,

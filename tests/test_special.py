@@ -8,7 +8,6 @@ from scipy import special as sp
 
 from nufunc.errors import DomainError
 from nufunc.special import (
-    LogSigned,
     _trigamma_scalar,
     complex_pow,
     digamma,
@@ -170,11 +169,11 @@ def test_reciprocal_gamma_log_signed_mixed_array_matches_each_side_alone():
 
 
 def test_pochhammer_values_and_domain():
-    assert pochhammer(2.0, 3.0).value() == pytest.approx(24.0, rel=1e-13)
-    assert pochhammer(0.5, 1.5).value() == pytest.approx(
+    assert math.exp(pochhammer(2.0, 3.0)) == pytest.approx(24.0, rel=1e-13)
+    assert math.exp(pochhammer(0.5, 1.5)) == pytest.approx(
         1.0 / math.sqrt(math.pi), rel=1e-13
     )
-    assert pochhammer(3.0, 0.0).value() == pytest.approx(1.0, abs=1e-14)
+    assert math.exp(pochhammer(3.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(DomainError):
         pochhammer(-1.0, 2.0)
     with pytest.raises(DomainError):
@@ -192,12 +191,3 @@ def test_complex_pow_principal_branch():
     assert complex_pow(0.0, 1.5) == 0j
     with pytest.raises(DomainError):
         complex_pow(0.0, -1.0)
-
-
-def test_log_signed_roundtrip():
-    # Round-tripping through log space costs ~|log| * eps in relative terms.
-    for v in (3.5, -0.25, 1e-200, -1e200):
-        ls = LogSigned.from_value(v)
-        assert ls.value() == pytest.approx(v, rel=1e-13)
-    z = LogSigned.from_value(0.0)
-    assert z.sign == 0.0 and z.log_abs == -math.inf and z.value() == 0.0
