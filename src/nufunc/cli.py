@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -64,6 +65,8 @@ def _parse_grid(text: str):
     start = float(parts[0])
     stop = float(parts[1])
     count = int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid endpoints must be finite")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     log_scale = False

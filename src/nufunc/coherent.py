@@ -124,8 +124,8 @@ def _density_detailed(sf: StructureFn, z_mod_sq: float, E, spec: QuadSpec):
 def poisson_density_discrete(z_mod_sq: float, n: int) -> float:
     """e^{-|z|^2} (|z|^2)^n / n! - the plain-family discrete density."""
     z_mod_sq = float(z_mod_sq)
-    if z_mod_sq < 0.0:
-        raise DomainError(f"squared modulus must be >= 0, got {z_mod_sq}")
+    if not 0.0 <= z_mod_sq < math.inf:
+        raise DomainError(f"squared modulus must be finite and >= 0, got {z_mod_sq}")
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
     if z_mod_sq == 0.0:

@@ -30,7 +30,8 @@ class NonDecaying(NuFuncError):
 
 
 class NonFinite(NuFuncError):
-    """The integrand returned a non-finite value inside the integration range."""
+    """An integrand inside its integration range, or a scalarized
+    expression, gave a non-finite value."""
 
 
 class ToleranceNotMet(NuFuncError):

@@ -450,9 +450,11 @@ def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> Integratio
 
 
 def nu_alpha_batch_detailed(ws, alpha: float, spec: QuadSpec) -> IntegrationResult:
-    """nu_alpha at a non-empty array of arguments, as nu_general_batch_detailed:
+    """nu_alpha at an array of arguments, as nu_general_batch_detailed:
     the first bad argument raises, as nu_alpha_detailed would on it."""
     ws = np.asarray(ws, dtype=float)
+    if not ws.size:
+        return IntegrationResult(np.zeros(ws.shape), np.zeros(ws.shape), 0)
     # Row 0 first: a bad alpha is reported there unless row 0 is bad.
     _alpha_args(ws.flat[0], alpha)
     alpha = _alpha_args(ws.flat[np.argmax(~(ws > 0.0) | ~np.isfinite(ws))], alpha)[1]
@@ -497,6 +499,8 @@ def pfq_series(params: HyperParams, w) -> complex:
     falls below 1e-16 of the running sum (cap 10000 terms).
     """
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise DomainError(f"pfq_series requires a finite argument, got {w}")
     _check_domain(params, abs(w))
     term = 1.0 + 0j
     total = term
@@ -518,8 +522,8 @@ def pfq_series(params: HyperParams, w) -> complex:
 
 def pfq_series_log(params: HyperParams, w: float) -> float:
     """ln of the series value for real w >= 0, evaluated wholly in log space."""
-    if w < 0.0:
-        raise DomainError(f"pfq_series_log requires w >= 0, got {w!r}")
+    if not 0.0 <= w < math.inf:
+        raise DomainError(f"pfq_series_log requires finite w >= 0, got {w!r}")
     if w == 0.0:
         return 0.0
     _check_domain(params, w)

@@ -1,12 +1,13 @@
-"""Scalar special functions: log-gamma, reciprocal gamma, digamma, Pochhammer.
+"""Scalar special functions: log-gamma, the log-modulus and sign of 1/Gamma,
+the inverse digamma, and the principal-branch complex power.
 
 All gamma-family quantities are computed in log space, with an explicit
 sign only where one can be negative (1/Gamma left of the origin);
 linear-scale values only appear at the very end of a computation.
-`log_gamma`, `reciprocal_gamma`, `reciprocal_gamma_log_signed` and
-`digamma` accept either a Python float or a numpy array and return the
-matching kind, so the quadrature layer can evaluate integrands on whole
-node batches at once.
+`log_gamma` and `reciprocal_gamma_log_signed` accept either a Python float
+or a numpy array and return the matching kind, so the quadrature layer can
+evaluate integrands on whole node batches at once.  The scalar digamma and
+trigamma kernels serve the nu peak probe.
 
 The log-gamma kernel is a fixed-coefficient rational (Lanczos-class)
 approximation with the coefficients embedded below, giving relative error
@@ -24,9 +25,8 @@ from .errors import DomainError
 
 __all__ = [
     "log_gamma",
-    "reciprocal_gamma",
-    "digamma",
-    "pochhammer",
+    "reciprocal_gamma_log_signed",
+    "digamma_inverse",
     "complex_pow",
 ]
 
@@ -160,34 +160,6 @@ def _sinpi(x):
     return parity * s
 
 
-def reciprocal_gamma(x):
-    """1/Gamma(x) for any finite real x; exactly 0 at non-positive integers.
-
-    The reflection form sin(pi x) Gamma(1-x) / pi covers x <= 0.  On the far
-    negative axis, where the magnitude exceeds double range, +/-inf is
-    returned as an explicit overflow signal.
-    """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)):
-        raise DomainError(f"reciprocal_gamma requires finite x, got {x!r}")
-
-    pos = arr > 0.0
-    safe_pos = np.where(pos, arr, 1.0)
-    val_pos = np.exp(-log_gamma(safe_pos))
-
-    safe_neg = np.where(pos, 0.0, arr)
-    s = _sinpi(safe_neg)
-    lg = log_gamma(1.0 - safe_neg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val_neg = (s / np.pi) * np.exp(lg)
-    # 0 * inf at extremely negative integers must stay an exact zero.
-    val_neg = np.where(s == 0.0, 0.0, val_neg)
-
-    out = np.where(pos, val_pos, val_neg)
-    return float(out) if scalar else out
-
-
 def reciprocal_gamma_log_signed(x):
     """(log magnitude, sign) of 1/Gamma(x) for any finite real x (array-capable).
 
@@ -240,6 +212,8 @@ _TRIGAMMA_ASYMPTOTIC_REV = tuple(
 
 
 def _digamma_scalar(x: float) -> float:
+    """psi(x) for x > 0, absolute error <= 1e-12: the recurrence
+    psi(x) = psi(x+1) - 1/x lifts x to >= 10, the Bernoulli series finishes."""
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     acc = 0.0
@@ -268,21 +242,6 @@ def _trigamma_scalar(x: float) -> float:
     return acc + (1.0 + 0.5 / x + u * tail) / x
 
 
-def digamma(x):
-    """psi(x) for x > 0, absolute error <= 1e-12.
-
-    Recurrence psi(x) = psi(x+1) - 1/x lifts the argument to >= 10, then the
-    asymptotic (Bernoulli) series finishes the job; arrays are mapped
-    element by element.
-    """
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return _digamma_scalar(float(x))
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
-    return np.array([_digamma_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
-
-
 def digamma_inverse(t):
     """Solve psi(y) = t for y > 0 (psi is strictly increasing there).
 
@@ -298,17 +257,6 @@ def digamma_inverse(t):
         if abs(step) <= 1e-8 * y:
             break
     return y
-
-
-def pochhammer(x, E) -> float:
-    """ln of the rising factorial (x)_E = Gamma(x+E)/Gamma(x), x > 0, E >= 0."""
-    x = float(x)
-    E = float(E)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"pochhammer requires x > 0, got x={x!r}")
-    if E < 0.0 or not math.isfinite(E):
-        raise DomainError(f"pochhammer requires E >= 0, got E={E!r}")
-    return log_gamma(x + E) - log_gamma(x)
 
 
 def complex_pow(w, E):

@@ -308,6 +308,10 @@ def test_bad_grid_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nu", "--grid=-1:10:3:log"])
     assert exc.value.code == 2
+    for grid in ("0:inf:3", "nan:1:3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "nu", "--grid", grid])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +333,23 @@ def test_unit_disc_boundary_exits_three(capsys):
     )
     assert code == 3
     assert "domain error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("doot", "--expr", "exp(2000*Ap)", "--bra", "0.5", "--ket", "0.5"), "numerical error"),
+        (("doot", "--expr", "Ap^2000", "--bra", "5", "--ket", "5"), "numerical error"),
+        (("doot", "--expr", "Ap^1e400", "--bra", "0.5", "--ket", "0.5"), "numerical error"),
+        (("eval", "pfq", "--z", "nan"), "domain error: pfq_series requires a finite argument"),
+        (("eval", "poisson", "--zsq", "nan", "--n", "1"), "domain error: squared modulus"),
+    ],
+    ids=["doot-exp", "doot-power", "doot-inf-exponent", "pfq-nan", "poisson-nan"],
+)
+def test_non_finite_values_exit_three(capsys, argv, kind):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the ladder-symbol expression trees, parser, and scalarizer."""
 
 import cmath
+import importlib
 import math
 
 import pytest
@@ -31,6 +32,7 @@ from nufunc import (
     scalarize,
 )
 
+COHERENT_MODULE = importlib.import_module("nufunc.coherent")
 SPEC = QuadSpec()
 PLAIN = StructureFn(HyperParams(0, 0))
 CONFLUENT = StructureFn(HyperParams(1, 1, a=(1.0,), b=(2.0,)))
@@ -245,11 +247,25 @@ def test_exp_argument_elements_diagonal_all_agree():
         assert r["rel_diff"] <= 1e-10
 
 
-def test_exp_argument_elements_off_diagonal_flags():
+def test_exp_argument_elements_off_diagonal_flags(monkeypatch):
     z = 0.6 + 0.2j
     z2 = 0.3 - 0.4j
+    calls = []
+    overlap_detailed = COHERENT_MODULE._overlap_detailed
+
+    def counted(*args):
+        calls.append(args)
+        return overlap_detailed(*args)
+
+    monkeypatch.setattr(COHERENT_MODULE, "_overlap_detailed", counted)
     report = exp_argument_matrix_elements(PLAIN, z, z2, SPEC)
+    # One overlap serves the report, and each direct value is scalarize's.
+    assert len(calls) == 1
     by_name = {r["name"]: r for r in report}
+    raising = NuWrap(PLAIN, Exp(Product((Scalar(z), SymbolPlus()))))
+    assert by_name["exp_of_scaled_raising"]["direct"] == scalarize(
+        MatrixElementQuery(z, z2, raising), PLAIN, SPEC
+    )
     # raising-symbol route is exact for any labels
     assert by_name["exp_of_scaled_raising"]["exact_off_diagonal"] is True
     assert by_name["exp_of_scaled_raising"]["rel_diff"] <= 1e-10

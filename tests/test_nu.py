@@ -8,7 +8,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from nufunc.coherent import cs_coefficient_discrete, dc_limit_check, poisson_density_discrete
 from nufunc.errors import DivergentFamily, DomainError
+from nufunc.identities import check_complex_gaussian
 from nufunc.nu import (
     HyperParams,
     StructureFn,
@@ -244,6 +246,11 @@ def test_alpha_batch_matches_scalar():
         batch = nu_alpha_positive_batch(ws, alpha, SPEC)
         for w, v in zip(ws, batch):
             assert v == pytest.approx(nu_alpha(float(w), alpha, SPEC), rel=1e-10)
+    # An empty batch is an empty answer, as for the family evaluators.
+    empty = nu_alpha_batch_detailed([], 1.0, SPEC)
+    assert empty.value.shape == empty.error_estimate.shape == (0,) and empty.panel_count == 0
+    assert nu_alpha_positive_batch([], 1.0, SPEC).shape == (0,)
+    assert nu_positive_batch(PLAIN, [], SPEC).shape == (0,)
 
 
 def _agrees(value, error, ref):
@@ -387,9 +394,23 @@ def test_non_finite_arguments_are_named_before_the_probe(bad):
         assert str(exc.value).startswith("nu_general_batch_detailed requires finite arguments, got ")
     with pytest.raises(DomainError, match="requires finite arguments"):
         nu_complex_grid(PLAIN, [1.0], [0.5, math.nan], SPEC)
+    # The series, the coherent kernels built on it and the planar check
+    # name the argument too, where they used to sum 10 000 terms or return NaN.
+    with pytest.raises(DomainError, match=r"^pfq_series requires a finite argument, got"):
+        pfq_series(PLAIN.params, bad)
+    with pytest.raises(DomainError, match=r"^pfq_series requires a finite argument, got"):
+        cs_coefficient_discrete(PLAIN, bad, 1)
+    with pytest.raises(DomainError, match=r"planar Gaussian check requires \|x\| <= 1"):
+        check_complex_gaussian(bad, 0.5, SPEC)
     if not isinstance(bad, complex):
         with pytest.raises(DomainError, match=r"nu_general_log requires finite w > 0, got"):
             nu_general_log(PLAIN, bad, SPEC)
+        with pytest.raises(DomainError, match=r"pfq_series_log requires finite w >= 0, got"):
+            pfq_series_log(PLAIN.params, bad)
+        with pytest.raises(DomainError):
+            dc_limit_check(PLAIN, bad, SPEC)
+        with pytest.raises(DomainError, match=r"squared modulus must be finite and >= 0"):
+            poisson_density_discrete(bad, 1)
 
 
 def test_nu_on_circle_matches_pointwise():
