@@ -341,11 +341,15 @@ def exp_argument_matrix_elements(
     z = complex(z)
     z2 = complex(z2)
     z_mod_sq = abs(z) ** 2
+    try:
+        closed_args = [cmath.exp(z_mod_sq), cmath.exp(-z_mod_sq)]
+    except OverflowError:
+        raise NonFinite(f"e^(|z|^2) overflows at label {z}: |z|^2 = {z_mod_sq:.6g}") from None
     if z == z2:
         overlap = 1.0 + 0.0j
     else:
         overlap = overlap_continuous(sf, z, z2, spec)
-    pair = nu_general_batch_detailed(sf, [cmath.exp(z_mod_sq), cmath.exp(-z_mod_sq)], spec)
+    pair = nu_general_batch_detailed(sf, closed_args, spec)
     nu_plus, nu_minus = pair.value.tolist()
 
     exp_minus = NuWrap(sf, Exp(Product((Scalar(-z.conjugate()), SymbolMinus()))))

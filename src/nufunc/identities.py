@@ -543,20 +543,9 @@ def run_suite(
             reports.append(runner(spec, tol))
         except Exception as exc:  # never abort the suite on one case
             kind = type(exc).__name__ if isinstance(exc, NuFuncError) else "Exception"
-            reports.append(
-                IdentityReport(
-                    id=case_id,
-                    description=f"case raised {kind}: {exc}",
-                    lhs=complex(math.nan),
-                    rhs=complex(math.nan),
-                    abs_err=math.nan,
-                    rel_err=math.nan,
-                    tol=float(tol) if tol is not None else math.nan,
-                    passed=False,
-                    status="error",
-                    runtime_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
+            description = f"case raised {kind}: {exc}"
+            tol_or_nan = math.nan if tol is None else tol
+            reports.append(_finish(case_id, description, math.nan, math.nan, tol_or_nan, "error", t0))
     return reports
 
 

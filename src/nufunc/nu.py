@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentFamily, DomainError, NoConvergence
+from .errors import DivergentFamily, DomainError, NoConvergence, NonFinite
 from .quadrature import (
     IntegrandProbe,
     IntegrationResult,
     QuadSpec,
     _LOG_DROP,
     _TRUNCATION_CLAMP,
-    integrate_semi_infinite_detailed,
     integrate_vector_semi_infinite,
     locate_peak,
 )
@@ -281,9 +280,10 @@ def _convex_probe(sf: StructureFn, g, log_r: float):
     return None
 
 
-def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False):
-    """Integral over E >= 0 of exp(c*E) / rho(E) for one exponent
-    c = ln|w| + i*arg(w), or for a 1-d array of them on one panel tree.
+def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, scaled=False):
+    """Integral over E >= 0 of exp(c*E) / rho(E) for a 1-d array of exponents
+    c = ln|w| + i*arg(w), all on one panel tree; a single argument is a
+    one-element array.
 
     The Newton probe (`_nu_probe`, with `locate_peak` as its fallback) runs
     at `log_r`, the largest ln|w|; panels are capped at 6 / max|Im c| to
@@ -293,40 +293,40 @@ def _nu_integral(sf: StructureFn, log_r: float, c, spec: QuadSpec, scaled=False)
     """
     probe = _nu_probe(sf, log_r)
     shift = probe.peak_log_value if scaled else 0.0
-    col = (slice(None),) + (None,) * np.ndim(c)
 
+    # Called with the nodes alone, as a tracer's wrapper does, f evaluates ln rho.
     def f(E, log_rho=None):
         E = np.asarray(E, dtype=float)
-        x = E[col] * c
-        x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[col]
+        x = E[:, None] * c
+        x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[:, None]
         if scaled:
             x -= shift
-        return np.exp(x, out=x)
+        # An overflow is named by the engine's non-finite check.
+        with np.errstate(over="ignore"):
+            return np.exp(x, out=x)
 
-    if np.ndim(c):
-        # The engine evaluates ln rho once per level, not once per call.
-        f.node_terms = lambda E: (sf.log_rho_continuous(E),)
-
+    # The engine evaluates ln rho once per level, not once per call.
+    f.node_terms = lambda E: (sf.log_rho_continuous(E),)
     max_im = float(np.max(np.abs(np.imag(c))))
     max_width = 6.0 / max_im if max_im > 1e-9 else None
-    return _engine(f, probe, spec, c, max_width), shift
+    return integrate_vector_semi_infinite(f, probe, spec, max_width, node_bytes=c.nbytes), shift
 
 
-def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
-    """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for one
-    c = ln w, or for a 1-d array of them on one panel tree; `log_r` is the
+def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec):
+    """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for a
+    1-d array of exponents c = ln w on one panel tree; `log_r` is the
     largest ln w."""
-    col = (slice(None),) + (None,) * np.ndim(c)
 
+    # Called with the nodes alone, as a tracer's wrapper does, f evaluates 1/Gamma.
     def f(E, log_abs=None, sign=None):
         E = np.asarray(E, dtype=float)
         if log_abs is None:
             log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        vals = sign[col] * np.exp((alpha + E)[col] * c + log_abs[col])
-        return np.where(sign[col] == 0.0, 0.0, vals)
+        with np.errstate(over="ignore"):
+            vals = sign[:, None] * np.exp((alpha + E)[:, None] * c + log_abs[:, None])
+        return np.where(sign[:, None] == 0.0, 0.0, vals)
 
-    if np.ndim(c):
-        f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
+    f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
 
     def log_mod(E):
         log_abs, _ = reciprocal_gamma_log_signed(alpha + E + 1.0)
@@ -339,13 +339,7 @@ def _nu_alpha_integral(log_r: float, c, alpha: float, spec: QuadSpec):
     # and 2 beyond are capped so the sign lobes are resolved.
     max_width = 0.5 if alpha <= -0.5 else None
     cap_end = max(-alpha - 1.0, 0.0) + 2.0
-    return _engine(f, probe, spec, c, max_width, cap_end)
-
-
-def _engine(f, probe, spec, c, max_width, cap_end=math.inf) -> IntegrationResult:
-    """Scalar engine for a scalar `c`; shared panel tree for an array."""
-    entry = integrate_semi_infinite_detailed if np.ndim(c) == 0 else integrate_vector_semi_infinite
-    return entry(f, probe, spec, max_width, cap_end)
+    return integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
 
 
 def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
@@ -358,7 +352,8 @@ def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     if w == 0:
         return IntegrationResult(0j, 0.0, 0)
     log_r = math.log(abs(w))
-    return _nu_integral(sf, log_r, complex(log_r, cmath.phase(w)), spec)[0]
+    res = _nu_integral(sf, log_r, np.array([complex(log_r, cmath.phase(w))]), spec)[0]
+    return IntegrationResult(complex(res.value[0]), float(res.error_estimate[0]), res.panel_count)
 
 
 def nu_general(sf: StructureFn, w, spec: QuadSpec) -> complex:
@@ -386,8 +381,8 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
         raise DomainError(f"nu_general_log requires finite w > 0, got {w!r}")
     _check_domain(sf.params, w)
     log_r = math.log(w)
-    res, shift = _nu_integral(sf, log_r, log_r, spec, scaled=True)
-    return shift + math.log(res.value.real)
+    res, shift = _nu_integral(sf, log_r, np.array([log_r]), spec, scaled=True)
+    return shift + math.log(res.value[0])
 
 
 def _alpha_args(w, alpha):
@@ -404,7 +399,8 @@ def nu_alpha_detailed(w: float, alpha: float, spec: QuadSpec):
     accounting (value, error_estimate, panel_count)."""
     w, alpha = _alpha_args(w, alpha)
     log_w = math.log(w)
-    return _nu_alpha_integral(log_w, log_w, alpha, spec)
+    res = _nu_alpha_integral(log_w, np.array([log_w]), alpha, spec)
+    return IntegrationResult(complex(res.value[0]), float(res.error_estimate[0]), res.panel_count)
 
 
 def nu_alpha(w: float, alpha: float, spec: QuadSpec) -> float:
@@ -513,6 +509,8 @@ def pfq_series(params: HyperParams, w) -> complex:
             denom *= bj + n
         term = term * ratio / denom
         total += term
+        if not cmath.isfinite(total):
+            raise NonFinite(f"series sum overflows at |w|={abs(w):.6g} after {n + 1} terms")
         if abs(term) < _SERIES_CUTOFF * abs(total):
             return total
     raise NoConvergence(

@@ -20,13 +20,14 @@ fails when `QuadSpec.max_panels` or that depth limit stops it makes the
 call raise `ToleranceNotMet`, whose message names which of the two did.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
-than the bound gets one panel per call.  The scalar entry sizes the first
-level for one complex value per node; the vector entry first evaluates one
-coarse panel alone to learn the output width.  Later levels are sized by
-the bytes the integrand really made per node (output width times item
-size).  The bound matters for nested integrands, whose outer nodes become
-the components of an inner batch.  An integrand's node-only term (ln rho
-for nu) is evaluated once per level and sliced for each call.
+than the bound gets one panel per call.  The first level is sized by the
+caller's output bytes per node (one complex value in the scalar entry, the
+nu family's `node_bytes` in the vector entry), or else by one coarse panel
+evaluated alone.  Later levels are sized by the bytes the integrand really
+made per node (output width times item size).  The bound matters for
+nested integrands, whose outer nodes become the components of an inner
+batch.  An integrand's node-only term (ln rho for nu) is evaluated once per
+level and sliced for each call.
 
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked (2, 31) weights-times-values product, and the acceptance test,
@@ -462,10 +463,13 @@ def integrate_semi_infinite_detailed(
     return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 
-def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, cap_end=math.inf):
+def integrate_vector_semi_infinite(
+    f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None
+):
     """As the scalar entry, for an f that maps nodes (n,) to values (n, m):
-    one panel tree serves every component, each held to its own budget."""
-    return _integrate_adaptive(f, probe, spec, max_panel_width, cap_end=cap_end)
+    one panel tree serves every component, each held to its own budget.
+    `node_bytes`, f's output bytes per node if known, sizes the first level."""
+    return _integrate_adaptive(f, probe, spec, max_panel_width, node_bytes, cap_end)
 
 
 def integrate_polar_2d(g, spec: QuadSpec) -> complex:

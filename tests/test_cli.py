@@ -343,8 +343,9 @@ def test_unit_disc_boundary_exits_three(capsys):
         (("doot", "--expr", "Ap^1e400", "--bra", "0.5", "--ket", "0.5"), "numerical error"),
         (("eval", "pfq", "--z", "nan"), "domain error: pfq_series requires a finite argument"),
         (("eval", "poisson", "--zsq", "nan", "--n", "1"), "domain error: squared modulus"),
+        (("eval", "pfq", "--z", "900"), "numerical error: series sum overflows at |w|=900"),
     ],
-    ids=["doot-exp", "doot-power", "doot-inf-exponent", "pfq-nan", "poisson-nan"],
+    ids=["doot-exp", "doot-power", "doot-inf-exponent", "pfq-nan", "poisson-nan", "pfq-overflow"],
 )
 def test_non_finite_values_exit_three(capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv)

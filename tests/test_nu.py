@@ -4,13 +4,22 @@ import importlib
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from nufunc.coherent import cs_coefficient_discrete, dc_limit_check, poisson_density_discrete
-from nufunc.errors import DivergentFamily, DomainError
-from nufunc.identities import check_complex_gaussian
+from nufunc.coherent import (
+    cs_coefficient_continuous,
+    cs_coefficient_discrete,
+    dc_limit_check,
+    overlap_continuous,
+    poisson_density_discrete,
+    transition_density,
+)
+from nufunc.doot import exp_argument_matrix_elements
+from nufunc.errors import DivergentFamily, DomainError, NonFinite
+from nufunc.identities import check_complex_gaussian, check_derivative_relation, check_laplace_nu
 from nufunc.nu import (
     HyperParams,
     StructureFn,
@@ -294,29 +303,43 @@ def test_alpha_batch_rows_agree_with_one_argument_calls(alpha):
         assert _agrees(v, e, nu_alpha_detailed(w, alpha, SPEC))
 
 
-# name -> (batched call, owner and name of its node-only term, 720 arguments,
-# engine levels).  31 nodes of 720 float64 components exceed the 128 KiB
-# call bound, so every integrand call carries one panel.
+# name -> (call, owner and name of its node-only term, engine levels, and
+# whether every integrand call carries one panel).  31 nodes of 720 float64
+# components exceed the 128 KiB call bound, so each call of a 720-argument
+# batch carries one panel; a single argument's level is one call.
 HOISTED_TERMS = {
     "nu": (
-        lambda ws: nu_general_batch_detailed(PLAIN, ws, SPEC),
-        StructureFn, "log_rho_continuous", np.geomspace(1e-3, 300.0, 720), 2,
+        lambda: nu_general_batch_detailed(PLAIN, np.geomspace(1e-3, 300.0, 720), SPEC),
+        StructureFn, "log_rho_continuous", 2, True,
     ),
     # 1/Gamma(E - 0.5) changes sign at E = 0.5; the panels, 0.5 wide up to
     # E = 2.5, pass at once.
     "nu_alpha": (
-        lambda ws: nu_alpha_batch_detailed(ws, -1.5, SPEC),
-        NU_MODULE, "reciprocal_gamma_log_signed", np.geomspace(1.5, 2.5, 720), 1,
+        lambda: nu_alpha_batch_detailed(np.geomspace(1.5, 2.5, 720), -1.5, SPEC),
+        NU_MODULE, "reciprocal_gamma_log_signed", 1, True,
+    ),
+    # The single evaluators run one row; at w = 500 four panels fail.
+    "nu_general_detailed": (
+        lambda: nu_general_detailed(PLAIN, 500.0, SPEC),
+        StructureFn, "log_rho_continuous", 2, False,
+    ),
+    "nu_general_log": (
+        lambda: nu_general_log(PLAIN, 500.0, SPEC),
+        StructureFn, "log_rho_continuous", 2, False,
+    ),
+    "nu_alpha_detailed": (
+        lambda: nu_alpha_detailed(2.0, -1.5, SPEC),
+        NU_MODULE, "reciprocal_gamma_log_signed", 1, False,
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(HOISTED_TERMS))
 def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypatch):
-    call, owner, attr, ws, n_levels = HOISTED_TERMS[name]
+    call, owner, attr, n_levels, one_panel_calls = HOISTED_TERMS[name]
     quad = importlib.import_module("nufunc.quadrature")
     term, panel_values, engine = getattr(owner, attr), quad._panel_values, quad.integrate_vector_semi_infinite
-    term_nodes, levels, engine_args = [], [], []
+    term_nodes, levels, engine_calls = [], [], []
 
     def counted_term(*args):
         if np.ndim(args[-1]):  # the probe's scalar calls aside
@@ -334,22 +357,27 @@ def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypa
         g.node_terms = f.node_terms
         return panel_values(g, a, b, per_call)
 
-    def captured_engine(f, probe, spec, max_panel_width=None, cap_end=math.inf):
-        engine_args.append((f, probe, max_panel_width, cap_end))
-        return engine(f, probe, spec, max_panel_width, cap_end)
+    def captured_engine(f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None):
+        out = engine(f, probe, spec, max_panel_width, cap_end, node_bytes)
+        engine_calls.append(((f, probe, SPEC, max_panel_width, cap_end), out))
+        return out
 
     monkeypatch.setattr(owner, attr, counted_term)
     monkeypatch.setattr(quad, "_panel_values", counted_level)
     monkeypatch.setattr(NU_MODULE, "integrate_vector_semi_infinite", captured_engine)
-    res = call(ws)
+    call()
     monkeypatch.undo()
-    assert len(levels) == n_levels and all(set(calls) == {31} for calls in levels)
+    assert len(levels) == n_levels
+    if one_panel_calls:
+        assert all(set(calls) == {31} for calls in levels)
+    else:
+        assert all(len(calls) == 1 for calls in levels)
     # One term evaluation per level, over all of the level's nodes.
     assert term_nodes == [sum(calls) for calls in levels]
     # A one-argument integrand without the hook, as a tracer's wrapper is,
     # gets the same bits from a term evaluated per call.
-    (f, probe, width, cap_end), = engine_args
-    plain = engine(lambda E: f(E), probe, SPEC, width, cap_end)
+    ((f, *args), res), = engine_calls
+    plain = engine(lambda E: f(E), *args)
     assert plain.value.tobytes() == res.value.tobytes()
     assert plain.error_estimate.tobytes() == res.error_estimate.tobytes()
     assert plain.panel_count == res.panel_count
@@ -411,6 +439,43 @@ def test_non_finite_arguments_are_named_before_the_probe(bad):
             dc_limit_check(PLAIN, bad, SPEC)
         with pytest.raises(DomainError, match=r"squared modulus must be finite and >= 0"):
             poisson_density_discrete(bad, 1)
+    if bad == math.inf:
+        # A finite argument whose sum overflows is named at the first
+        # infinite partial sum, not after 10 000 terms.
+        for call, abs_w in [
+            (lambda: pfq_series(PLAIN.params, 900.0), "900"),
+            (lambda: pfq_series(PLAIN.params, 1e20), "1e+20"),
+            (lambda: cs_coefficient_discrete(PLAIN, 30.0, 3), "900"),
+        ]:
+            with pytest.raises(NonFinite) as exc:
+                call()
+            assert str(exc.value).startswith(f"series sum overflows at |w|={abs_w} after")
+
+
+# name -> a call whose integrand, or closed-form argument, overflows.  The
+# overlap and the density are bounded, so they should return values one day.
+OVERFLOWING_CALLS = {
+    "nu(720)": lambda: nu(720.0, SPEC),
+    "nu_alpha(720, 0.5)": lambda: nu_alpha(720.0, 0.5, SPEC),
+    "overlap(27, 26.5)": lambda: overlap_continuous(PLAIN, 27.0, 26.5, SPEC),
+    "density(800, 790)": lambda: transition_density(PLAIN, 800.0, 790.0, SPEC),
+    "cs_coefficient_continuous(27, 1)": lambda: cs_coefficient_continuous(PLAIN, 27.0, 1.0, SPEC),
+    "1.6 at z=800": lambda: check_derivative_relation(800.0, 1, SPEC),
+    "4.19 at s=1.3": lambda: check_laplace_nu(1.3, SPEC),
+    "4.19 at s=1.05": lambda: check_laplace_nu(1.05, SPEC),
+    "exp_argument(27, 27)": lambda: exp_argument_matrix_elements(PLAIN, 27.0, 27.0, SPEC),
+    "exp_argument(27, 26.9)": lambda: exp_argument_matrix_elements(PLAIN, 27.0, 26.9, SPEC),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_CALLS))
+def test_overflow_raises_non_finite_without_a_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as exc:
+            OVERFLOWING_CALLS[name]()
+    if name.startswith("exp_argument"):
+        assert str(exc.value) == "e^(|z|^2) overflows at label (27+0j): |z|^2 = 729"
 
 
 def test_nu_on_circle_matches_pointwise():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nufunc import nu
+from nufunc import HyperParams, StructureFn, nu, overlap_continuous
+from nufunc.cli import main as cli_main
 from nufunc.errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
     _ABS_FLOOR,
@@ -20,6 +21,7 @@ from nufunc.quadrature import (
     _initial_boundaries,
     _integrate_adaptive,
     _panel_values,
+    _per_call,
     integrate_polar_2d,
     integrate_semi_infinite_detailed,
     integrate_vector_semi_infinite,
@@ -272,16 +274,16 @@ def _bump(t):
 
 
 def _nu_engine_call(w):
-    """The integrand, probe and panel cap that nu(w) hands the engine."""
+    """The one-row integrand, probe and panel cap that nu(w) hands the engine."""
     nu_module = importlib.import_module("nufunc.nu")
     seen = []
 
-    def capture(f, probe, spec, max_panel_width=None, cap_end=math.inf):
+    def capture(f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None):
         seen.append((f, probe, max_panel_width))
-        return integrate_semi_infinite_detailed(f, probe, spec, max_panel_width, cap_end)
+        return integrate_vector_semi_infinite(f, probe, spec, max_panel_width, cap_end, node_bytes)
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(nu_module, "integrate_semi_infinite_detailed", capture)
+    mp.setattr(nu_module, "integrate_vector_semi_infinite", capture)
     try:
         nu(w, SPEC)
     finally:
@@ -308,9 +310,9 @@ _ENGINE_CASES = {
         _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None
     ),
     "bump": lambda: (_bump, _EXP_PROBE, None),
-    "nu(1)": lambda: _nu_engine_call(1.0),
-    "nu(2+3j)": lambda: _nu_engine_call(2.0 + 3.0j),
 }
+_NU_ENGINE_ARGS = {"nu(1)": 1.0, "nu(2+3j)": 2.0 + 3.0j}
+_ENGINE_CASES.update({name: (lambda w=w: _nu_engine_call(w)) for name, w in _NU_ENGINE_ARGS.items()})
 
 
 @pytest.mark.parametrize("name", list(_ENGINE_CASES))
@@ -322,6 +324,10 @@ def test_breadth_first_engine_matches_depth_first_reference(name):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
     assert got.panel_count == ref[2]
+    if name in _NU_ENGINE_ARGS:
+        # The single evaluator returns the reference's one row.
+        value = nu(_NU_ENGINE_ARGS[name], SPEC)
+        assert np.complex128(value).tobytes() == np.complex128(ref[0][0]).tobytes()
     if np.ndim(ref[0]) == 0:
         # The scalar entry sizes its first calls differently, not its sums.
         res = integrate_semi_infinite_detailed(f, probe, SPEC, width)
@@ -369,18 +375,47 @@ def test_panel_over_the_byte_bound_gets_one_panel_per_call():
     assert len(nodes) > 2 and set(nodes) == {31}
 
 
-def test_nu_of_one_makes_few_integrand_calls():
-    f, probe, width = _nu_engine_call(1.0)
-    calls = []
+def _integrand_calls_per_level(call):
+    """Run `call`; return the integrand calls of each level of its ν engine runs."""
+    quad_module = importlib.import_module("nufunc.quadrature")
+    levels = []
 
-    def counted(E):
-        calls.append(E.size)
-        return f(E)
+    def counted_level(f, a, b, per_call):
+        calls = []
+        levels.append(calls)
 
-    integrate_semi_infinite_detailed(counted, probe, SPEC, width)
-    # The coarse panels and their halves share one call, and every coarse
-    # panel of nu(1) passes its test.
-    assert len(calls) == 1
+        def g(E, *terms):
+            calls.append(E.size)
+            return f(E, *terms)
+
+        g.node_terms = f.node_terms
+        return _panel_values(g, a, b, per_call)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(quad_module, "_panel_values", counted_level)
+    try:
+        call()
+    finally:
+        mp.undo()
+    return levels
+
+
+def test_nu_of_one_makes_few_integrand_calls(capsys):
+    # Every coarse panel of nu(1) passes its test, and they share one call.
+    assert [len(calls) for calls in _integrand_calls_per_level(lambda: nu(1.0, SPEC))] == [1]
+    # A batched tree's first level is sized by its complex rows, with no
+    # one-panel measuring call: each call carries as many panels as the
+    # byte bound allows, so a 3-row overlap makes one call and a 30-row
+    # table two full calls for its 16 coarse panels.
+    plain = StructureFn(HyperParams(0, 0))
+    for call, rows, n_calls in (
+        (lambda: overlap_continuous(plain, 0.5, 0.2 + 0.1j, SPEC), 3, 1),
+        (lambda: cli_main(["table", "nu", "--grid", "0.1:10:30:log"]), 30, 2),
+    ):
+        first = _integrand_calls_per_level(call)[0]
+        full = _KRONROD_NODES.size * _per_call(16 * rows)
+        assert len(first) == n_calls and first[:-1] == [full] * (n_calls - 1) and first[-1] <= full
+    assert len(capsys.readouterr().out.splitlines()) == 31
 
 
 def test_scalar_entry_rejects_wide_integrands():
