@@ -8,166 +8,22 @@ expression scalarizer.  Structure functions evaluate in log space; every
 integral runs through one adaptive quadrature engine with error accounting.
 """
 
-from .errors import (
-    DivergentFamily,
-    DomainError,
-    NoConvergence,
-    NonDecaying,
-    NonFinite,
-    NuFuncError,
-    ParseError,
-    ToleranceNotMet,
-    UnsupportedFamily,
-    UnsupportedNode,
-)
-from .special import (
-    complex_pow,
-    digamma_inverse,
-    log_gamma,
-    reciprocal_gamma_log_signed,
-)
-from .quadrature import (
-    IntegrandProbe,
-    IntegrationResult,
-    QuadSpec,
-    integrate_polar_2d,
-    integrate_semi_infinite_detailed,
-    integrate_vector_semi_infinite,
-    locate_peak,
-)
-from .nu import (
-    HyperParams,
-    StructureFn,
-    convergence_domain,
-    nu,
-    nu_alpha,
-    nu_alpha_detailed,
-    nu_alpha_positive_batch,
-    nu_complex_grid,
-    nu_general,
-    nu_general_detailed,
-    nu_general_log,
-    nu_on_circle,
-    nu_positive_batch,
-    pfq_series,
-    pfq_series_log,
-    rho_continuous,
-    rho_discrete,
-)
-from .coherent import (
-    cs_coefficient_continuous,
-    cs_coefficient_discrete,
-    dc_limit_check,
-    kp_coefficient,
-    overlap_continuous,
-    poisson_density_discrete,
-    transition_density,
-)
-from .doot import (
-    DootExpr,
-    Exp,
-    MatrixElementQuery,
-    NormalOrder,
-    NuWrap,
-    Power,
-    Product,
-    Scalar,
-    Sum,
-    SymbolMinus,
-    SymbolPlus,
-    displacement_expectation,
-    exp_argument_matrix_elements,
-    normal_order,
-    parse_expression,
-    scalarize,
-)
-from .identities import (
-    IdentityReport,
-    check_complex_gaussian,
-    check_derivative_relation,
-    check_eq_4_20,
-    check_eq_4_22,
-    check_formal_series_4_21,
-    check_laplace_nu,
-    check_weighted_nu_integral,
-    reports_to_json,
-    run_suite,
-    suite_passed,
-)
+import sys as _sys
+
+# Each module's __all__ is the one list of its public names; the package
+# republishes them.  The function `nu` then shadows the submodule `nufunc.nu`.
+from .errors import *  # noqa: F401,F403
+from .special import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .nu import *  # noqa: F401,F403
+from .coherent import *  # noqa: F401,F403
+from .doot import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DivergentFamily",
-    "DomainError",
-    "DootExpr",
-    "Exp",
-    "HyperParams",
-    "IdentityReport",
-    "IntegrandProbe",
-    "IntegrationResult",
-    "MatrixElementQuery",
-    "NoConvergence",
-    "NonDecaying",
-    "NonFinite",
-    "NormalOrder",
-    "NuFuncError",
-    "NuWrap",
-    "ParseError",
-    "Power",
-    "Product",
-    "QuadSpec",
-    "Scalar",
-    "StructureFn",
-    "Sum",
-    "SymbolMinus",
-    "SymbolPlus",
-    "ToleranceNotMet",
-    "UnsupportedFamily",
-    "UnsupportedNode",
-    "check_complex_gaussian",
-    "check_derivative_relation",
-    "check_eq_4_20",
-    "check_eq_4_22",
-    "check_formal_series_4_21",
-    "check_laplace_nu",
-    "check_weighted_nu_integral",
-    "complex_pow",
-    "convergence_domain",
-    "cs_coefficient_continuous",
-    "cs_coefficient_discrete",
-    "dc_limit_check",
-    "digamma_inverse",
-    "displacement_expectation",
-    "exp_argument_matrix_elements",
-    "integrate_polar_2d",
-    "integrate_semi_infinite_detailed",
-    "integrate_vector_semi_infinite",
-    "kp_coefficient",
-    "locate_peak",
-    "log_gamma",
-    "normal_order",
-    "nu",
-    "nu_alpha",
-    "nu_alpha_detailed",
-    "nu_alpha_positive_batch",
-    "nu_complex_grid",
-    "nu_general",
-    "nu_general_detailed",
-    "nu_general_log",
-    "nu_on_circle",
-    "nu_positive_batch",
-    "overlap_continuous",
-    "parse_expression",
-    "pfq_series",
-    "pfq_series_log",
-    "poisson_density_discrete",
-    "reciprocal_gamma_log_signed",
-    "reports_to_json",
-    "rho_continuous",
-    "rho_discrete",
-    "run_suite",
-    "scalarize",
-    "suite_passed",
-    "transition_density",
-]
+__all__ = sorted(
+    name
+    for module in ("errors", "special", "quadrature", "nu", "coherent", "doot", "identities")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+)

@@ -19,6 +19,7 @@ from .errors import DomainError
 from .nu import (
     HyperParams,
     StructureFn,
+    _integer,
     convergence_domain,
     nu_general,
     nu_general_batch_detailed,
@@ -32,9 +33,20 @@ from .nu import (
 from .quadrature import QuadSpec
 from .special import complex_pow, log_gamma
 
+__all__ = [
+    "cs_coefficient_discrete",
+    "cs_coefficient_continuous",
+    "overlap_continuous",
+    "transition_density",
+    "poisson_density_discrete",
+    "kp_coefficient",
+    "dc_limit_check",
+]
+
 
 def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
     """Coefficient of the n-th basis state: z^n / sqrt(rho(n) * pFq(|z|^2))."""
+    n = _integer(n, "basis index")
     if n < 0:
         raise DomainError(f"basis index must be >= 0, got {n}")
     z = complex(z)
@@ -126,6 +138,7 @@ def poisson_density_discrete(z_mod_sq: float, n: int) -> float:
     z_mod_sq = float(z_mod_sq)
     if not 0.0 <= z_mod_sq < math.inf:
         raise DomainError(f"squared modulus must be finite and >= 0, got {z_mod_sq}")
+    n = _integer(n, "count")
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
     if z_mod_sq == 0.0:

@@ -41,6 +41,25 @@ from .nu import (
 )
 from .quadrature import QuadSpec
 
+__all__ = [
+    "DootExpr",
+    "SymbolPlus",
+    "SymbolMinus",
+    "Scalar",
+    "Sum",
+    "Product",
+    "Power",
+    "Exp",
+    "NuWrap",
+    "NormalOrder",
+    "MatrixElementQuery",
+    "normal_order",
+    "scalarize",
+    "displacement_expectation",
+    "exp_argument_matrix_elements",
+    "parse_expression",
+]
+
 
 # --------------------------------------------------------------------------
 # Expression nodes
@@ -144,7 +163,6 @@ def normal_order(e: DootExpr) -> DootExpr:
     if isinstance(e, Sum):
         terms = []
         scalar_sum = 0j
-        saw_scalar = False
         for raw in e.terms:
             t = normal_order(raw)
             if isinstance(t, Sum):
@@ -154,10 +172,9 @@ def normal_order(e: DootExpr) -> DootExpr:
             for item in inner:
                 if isinstance(item, Scalar):
                     scalar_sum += item.value
-                    saw_scalar = True
                 else:
                     terms.append(item)
-        if saw_scalar and scalar_sum != 0:
+        if scalar_sum != 0:
             terms.append(Scalar(scalar_sum))
         if not terms:
             return Scalar(0j)
@@ -166,7 +183,6 @@ def normal_order(e: DootExpr) -> DootExpr:
         return Sum(tuple(terms))
     if isinstance(e, Product):
         coeff = 1 + 0j
-        saw_coeff = False
         plus_power = 0.0
         minus_power = 0.0
         exp_args = []
@@ -181,7 +197,6 @@ def normal_order(e: DootExpr) -> DootExpr:
         for f in flat:
             if isinstance(f, Scalar):
                 coeff *= f.value
-                saw_coeff = True
                 continue
             sym = _symbol_power(f)
             if sym is not None:
@@ -194,10 +209,10 @@ def normal_order(e: DootExpr) -> DootExpr:
                 exp_args.append(f.argument)
                 continue
             others.append(f)
-        if saw_coeff and coeff == 0:
+        if coeff == 0:
             return Scalar(0j)
         factors = []
-        if saw_coeff and coeff != 1:
+        if coeff != 1:
             factors.append(Scalar(coeff))
         if plus_power != 0.0:
             factors.append(_rebuild_symbol("+", plus_power))

@@ -4,6 +4,19 @@ Every error raised by the public API is one of these, so callers (and the
 CLI) can map failures onto a small, stable set of outcomes.
 """
 
+__all__ = [
+    "NuFuncError",
+    "DomainError",
+    "DivergentFamily",
+    "UnsupportedFamily",
+    "UnsupportedNode",
+    "NonDecaying",
+    "NonFinite",
+    "ToleranceNotMet",
+    "NoConvergence",
+    "ParseError",
+]
+
 
 class NuFuncError(Exception):
     """Base class for all library errors."""

@@ -26,6 +26,7 @@ from .errors import DomainError, NuFuncError, UnsupportedFamily
 from .nu import (
     HyperParams,
     StructureFn,
+    _integer,
     nu,
     nu_alpha,
     nu_alpha_positive_batch,
@@ -143,6 +144,16 @@ def _weight_exponent(sf: StructureFn) -> float:
     )
 
 
+def _check_reach(name: str, value: float, reach: float) -> None:
+    """DomainError naming the argument `name` = `value` whose outer truncation
+    sends the inner nu argument to `reach`, past _EXP_ARG_LIMIT."""
+    if reach > _EXP_ARG_LIMIT:
+        raise DomainError(
+            f"{name} {value!r} is too close to 1: the inner argument reaches {reach:.3g} "
+            "before the weight decays, overflowing linear-space nu values"
+        )
+
+
 def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth=0.0):
     """integral over t of exp(-t) * t**b * inner(t / x), b from the family.
 
@@ -152,11 +163,7 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth
     rate = 1.0 - 1.0 / x
     growth = max(bexp, 0.0) + extra_growth
     T = (_LOG_DROP + 20.0 + 5.0 * growth) / rate
-    if T / x > _EXP_ARG_LIMIT:
-        raise DomainError(
-            f"scale {x!r} is too close to 1: the inner argument reaches {T / x:.3g} "
-            "before the weight decays, overflowing linear-space nu values"
-        )
+    _check_reach("scale", x, T / x)
     peak = max(0.5, growth / rate)
     probe = IntegrandProbe(
         peak_location=peak, truncation_point=T, peak_log_value=0.0
@@ -186,6 +193,7 @@ def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None =
             "integral of a positive function cannot)"
         )
     T = (_LOG_DROP + 6.0) / (s - 1.0)
+    _check_reach("s", s, T)
     probe = IntegrandProbe(
         peak_location=min(1.0, 0.5 * T), truncation_point=T, peak_log_value=0.0
     )
@@ -416,7 +424,7 @@ def check_derivative_relation(
     t0 = time.perf_counter()
     spec = spec if spec is not None else QuadSpec()
     z = float(z)
-    n = int(n)
+    n = _integer(n, "derivative order n")
     if n not in (1, 2):
         raise DomainError(f"derivative check supports n in {{1, 2}}, got n={n}")
     if not (z > 0.0 and math.isfinite(z)):
@@ -460,7 +468,7 @@ def check_formal_series_4_21(
     spec = spec if spec is not None else QuadSpec()
     tol = 0.0 if tol is None else float(tol)
     s = float(s)
-    L = int(L)
+    L = _integer(L, "truncation order L")
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"formal series check requires s > 0, got s={s!r}")
     if L < 0:

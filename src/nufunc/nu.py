@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,10 @@ __all__ = [
     "convergence_domain",
     "nu",
     "nu_alpha",
-    "nu_alpha_batch_detailed",
     "nu_alpha_detailed",
     "nu_alpha_positive_batch",
     "nu_complex_grid",
     "nu_general",
-    "nu_general_batch_detailed",
     "nu_general_detailed",
     "nu_general_log",
     "nu_on_circle",
@@ -153,13 +152,20 @@ def convergence_domain(sf: StructureFn) -> str:
     return "entire" if p <= q else "unit_disc" if p == q + 1 else "divergent"
 
 
+def _integer(n, name: str) -> int:
+    """`n` as an int if it is an integer or an integral float, else DomainError naming it."""
+    if isinstance(n, numbers.Integral) or (isinstance(n, numbers.Real) and float(n).is_integer()):
+        return int(n)
+    raise DomainError(f"{name} must be an integer, got {n!r}")
+
+
 def rho_discrete(sf: StructureFn, n: int) -> float:
     """ln[n! * prod (b_j)_n / prod (a_i)_n], built as an explicit product.
 
     The term-by-term log sum keeps this independent of the continuous
     gamma-ratio route, so the two can cross-check each other.
     """
-    n = int(n)
+    n = _integer(n, "index n")
     if n < 0:
         raise DomainError(f"rho_discrete requires n >= 0, got {n}")
     total = 0.0
@@ -301,9 +307,7 @@ def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, s
         x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[:, None]
         if scaled:
             x -= shift
-        # An overflow is named by the engine's non-finite check.
-        with np.errstate(over="ignore"):
-            return np.exp(x, out=x)
+        return np.exp(x, out=x)
 
     # The engine evaluates ln rho once per level, not once per call.
     f.node_terms = lambda E: (sf.log_rho_continuous(E),)
@@ -322,8 +326,7 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
         E = np.asarray(E, dtype=float)
         if log_abs is None:
             log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        with np.errstate(over="ignore"):
-            vals = sign[:, None] * np.exp((alpha + E)[:, None] * c + log_abs[:, None])
+        vals = sign[:, None] * np.exp((alpha + E)[:, None] * c + log_abs[:, None])
         return np.where(sign[:, None] == 0.0, 0.0, vals)
 
     f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)

@@ -18,6 +18,9 @@ into a geometric ladder of rungs [0, h/2^12], [h/2^12, h/2^11], ...,
 no panel is narrower than 2^-60 of its coarse panel.  A panel that still
 fails when `QuadSpec.max_panels` or that depth limit stops it makes the
 call raise `ToleranceNotMet`, whose message names which of the two did.
+A non-finite integrand value, panel sum or total makes it raise `NonFinite`
+naming the panel or the total, never return inf or NaN; numpy's overflow
+warnings are off inside the engine, so such a call does not warn either.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
 than the bound gets one panel per call.  The first level is sized by the
@@ -374,56 +377,65 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
     done = []
     # Halvings from each open panel to its coarse panel.
     depth = np.zeros(lo.size, dtype=int)
-    # Breadth-first: each pass evaluates every open panel [lo, hi] of one
-    # level, in order of position, and all of them share integrand calls.
-    while lo.size:
-        value, gauss, modulus = _panel_values(f, lo, hi, per_call)
-        if not done:
-            # Later levels carry as many panels as the real output size allows.
-            per_call = _per_call(max(value[0].nbytes, value.itemsize))
-            # Cumulative sums fold left to right, exactly as a loop of `+` does.
-            scale = np.cumsum(np.abs(value), axis=0)[-1]
-            total_budget = np.maximum(spec.rel_tol * scale, _ABS_FLOOR)
-            # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
-            # width share is less, so panels at a mild endpoint singularity (a
-            # 1/log factor at 0) can pass; the estimate stays within (1 + k/1024)
-            # budgets for k panels accepted on the floor.
-            budget_floor = total_budget / 1024.0
-        # |K31 - G15| estimates the error of the G15 value, which the K31
-        # value improves on; the rounding of the sum itself is one ulp of
-        # the integral of |f|, which a cancelling integrand's difference
-        # can fall short of.
-        err = np.maximum(np.abs(value - gauss), _EPS * modulus)
-        width = ((hi - lo) / T).reshape((-1,) + (1,) * (err.ndim - 1))
-        budget = np.maximum(total_budget * width, budget_floor)
-        within = (err <= budget).reshape(lo.size, -1).all(axis=1)
-        # Failing panels split in order, two new panels each, while the
-        # count is under the cap: the first ceil((cap - count) / 2) of them.
-        # A failing origin panel grows a ladder instead when its 12 further
-        # panels fit under the cap and its rungs stay within _MAX_DEPTH.
-        fail = ~within & (depth < _MAX_DEPTH)
-        room = max(-((count - spec.max_panels) // 2), 0)
-        ladder = lo[0] == 0.0 and fail[0] and depth[0] + _LADDER < _MAX_DEPTH and room > _LADDER // 2
-        split = fail & (np.cumsum(fail) <= room - ladder * (_LADDER // 2))
-        count += 2 * int(np.count_nonzero(split)) + ladder * _LADDER
-        keep = ~split
-        capped = capped or bool((fail & keep).any())
-        deep = deep or bool((~within & (depth >= _MAX_DEPTH)).any())
-        done.append((lo[keep], value[keep], err[keep]))
-        edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)[split]
-        lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
-        depth = np.repeat(depth[split] + 1, 2)
-        if ladder:
-            # The origin panel's left half [0, h] becomes the rungs.
-            rungs = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
-            lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
-            depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
+    # Overflowing sums are named below, as overflowing integrand values are
+    # in `_panel_values`, so numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Breadth-first: each pass evaluates every open panel [lo, hi] of one
+        # level, in order of position, and all of them share integrand calls.
+        while lo.size:
+            value, gauss, modulus = _panel_values(f, lo, hi, per_call)
+            # |K31 - G15| estimates the error of the G15 value, which the K31
+            # value improves on; the rounding of the sum itself is one ulp of
+            # the integral of |f|, which a cancelling integrand's difference
+            # can fall short of.
+            err = np.maximum(np.abs(value - gauss), _EPS * modulus)
+            # err is finite only where the value, G15 and |f| sums all are.
+            if not np.isfinite(err).all():
+                j = int(np.argmin(np.isfinite(err).reshape(lo.size, -1).all(axis=1)))
+                raise NonFinite(f"panel sums are non-finite on [{lo[j]:.6g}, {hi[j]:.6g}]")
+            if not done:
+                # Later levels carry as many panels as the real output size allows.
+                per_call = _per_call(max(value[0].nbytes, value.itemsize))
+                # Cumulative sums fold left to right, exactly as a loop of `+` does.
+                scale = np.cumsum(np.abs(value), axis=0)[-1]
+                total_budget = np.maximum(spec.rel_tol * scale, _ABS_FLOOR)
+                # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
+                # width share is less, so panels at a mild endpoint singularity (a
+                # 1/log factor at 0) can pass; the estimate stays within (1 + k/1024)
+                # budgets for k panels accepted on the floor.
+                budget_floor = total_budget / 1024.0
+            width = ((hi - lo) / T).reshape((-1,) + (1,) * (err.ndim - 1))
+            budget = np.maximum(total_budget * width, budget_floor)
+            within = (err <= budget).reshape(lo.size, -1).all(axis=1)
+            # Failing panels split in order, two new panels each, while the
+            # count is under the cap: the first ceil((cap - count) / 2) of them.
+            # A failing origin panel grows a ladder instead when its 12 further
+            # panels fit under the cap and its rungs stay within _MAX_DEPTH.
+            fail = ~within & (depth < _MAX_DEPTH)
+            room = max(-((count - spec.max_panels) // 2), 0)
+            ladder = lo[0] == 0.0 and fail[0] and depth[0] + _LADDER < _MAX_DEPTH and room > _LADDER // 2
+            split = fail & (np.cumsum(fail) <= room - ladder * (_LADDER // 2))
+            count += 2 * int(np.count_nonzero(split)) + ladder * _LADDER
+            keep = ~split
+            capped = capped or bool((fail & keep).any())
+            deep = deep or bool((~within & (depth >= _MAX_DEPTH)).any())
+            done.append((lo[keep], value[keep], err[keep]))
+            edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)[split]
+            lo, hi = edges[:, :2].ravel(), edges[:, 1:].ravel()
+            depth = np.repeat(depth[split] + 1, 2)
+            if ladder:
+                # The origin panel's left half [0, h] becomes the rungs.
+                rungs = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
+                lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
+                depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
 
-    starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(starts, kind="stable")
-    # Copies, so the results do not keep the whole cumulative sums alive.
-    total = np.cumsum(values[order], axis=0)[-1].copy()
-    err_total = np.cumsum(errors[order], axis=0)[-1].copy()
+        starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
+        order = np.argsort(starts, kind="stable")
+        # Copies, so the results do not keep the whole cumulative sums alive.
+        total = np.cumsum(values[order], axis=0)[-1].copy()
+        err_total = np.cumsum(errors[order], axis=0)[-1].copy()
+    if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
+        raise NonFinite("the summed integral or its error estimate is non-finite")
 
     if capped or deep:
         causes = ["panel budget exhausted"] if capped else []
@@ -438,12 +450,12 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
 
 
 def integrate_semi_infinite_detailed(
-    f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None, cap_end=math.inf
+    f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None
 ) -> IntegrationResult:
     """Integrate a scalar f over [0, inf), truncated per `probe`, to
     spec.rel_tol.  `f` maps a numpy array of nodes to the matching array of
-    (possibly complex) values.  Coarse panels that start left of `cap_end`
-    are at most `max_panel_width` wide.
+    (possibly complex) values.  Coarse panels are at most `max_panel_width`
+    wide.
 
     Raises DomainError when `f` returns other than one value per node.
     """
@@ -457,9 +469,7 @@ def integrate_semi_infinite_detailed(
             )
         return y
 
-    res = _integrate_adaptive(
-        scalar, probe, spec, max_panel_width, node_bytes=_SCALAR_NODE_BYTES, cap_end=cap_end
-    )
+    res = _integrate_adaptive(scalar, probe, spec, max_panel_width, _SCALAR_NODE_BYTES)
     return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 

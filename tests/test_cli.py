@@ -344,8 +344,12 @@ def test_unit_disc_boundary_exits_three(capsys):
         (("eval", "pfq", "--z", "nan"), "domain error: pfq_series requires a finite argument"),
         (("eval", "poisson", "--zsq", "nan", "--n", "1"), "domain error: squared modulus"),
         (("eval", "pfq", "--z", "900"), "numerical error: series sum overflows at |w|=900"),
+        (("eval", "nu", "--z", "711"), "numerical error: panel sums are non-finite on ["),
     ],
-    ids=["doot-exp", "doot-power", "doot-inf-exponent", "pfq-nan", "poisson-nan", "pfq-overflow"],
+    ids=[
+        "doot-exp", "doot-power", "doot-inf-exponent", "pfq-nan", "poisson-nan", "pfq-overflow",
+        "nu-overflow",
+    ],
 )
 def test_non_finite_values_exit_three(capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv)

@@ -20,6 +20,7 @@ from nufunc import (
     nu_general_detailed,
     overlap_continuous,
     poisson_density_discrete,
+    rho_discrete,
     transition_density,
 )
 from nufunc.coherent import _overlap_detailed
@@ -62,6 +63,14 @@ def test_discrete_coefficient_plain_matches_poisson_amplitude():
 def test_discrete_coefficient_rejects_negative_index():
     with pytest.raises(DomainError):
         cs_coefficient_discrete(PLAIN, 0.5, -1)
+    # A non-integral index is named, not truncated to the integer below it.
+    for n in (2.5, math.nan, math.inf):
+        for coefficient in (cs_coefficient_discrete, kp_coefficient):
+            with pytest.raises(DomainError, match="^basis index must be an integer"):
+                coefficient(PLAIN, 0.5, n)
+        with pytest.raises(DomainError, match="^index n must be an integer"):
+            rho_discrete(PLAIN, n)
+    assert cs_coefficient_discrete(PLAIN, 0.5, 2.0) == cs_coefficient_discrete(PLAIN, 0.5, 2)
 
 
 # (p, q) of a family whose series diverges everywhere, and of one that
@@ -282,6 +291,10 @@ def test_poisson_density_rejects_bad_input():
         poisson_density_discrete(-1.0, 2)
     with pytest.raises(DomainError):
         poisson_density_discrete(2.0, -1)
+    for n in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^count must be an integer"):
+            poisson_density_discrete(1.0, n)
+    assert poisson_density_discrete(1.0, 2.0) == poisson_density_discrete(1.0, 2)
 
 
 # ---------------------------------------------------------------------------

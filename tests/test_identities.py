@@ -65,6 +65,12 @@ def test_laplace_transform_check_rejects_small_s():
     for s in (1.0, 0.5, 0.0):
         with pytest.raises(DomainError):
             check_laplace_nu(s)
+    # Near s = 1 the outer truncation sends the inner nu past its linear
+    # range; that is named as 4.18 names it, up to s = 1 + 236.26/700.
+    for s in (1.05, 1.3, 1.331, 1.3375):
+        with pytest.raises(DomainError, match=rf"^s {s!r} is too close to 1: the inner argument"):
+            check_laplace_nu(s)
+    assert check_laplace_nu(1.3376).passed
 
 
 def test_weighted_integral_check_passes_both_families():
@@ -253,6 +259,10 @@ def test_derivative_relation_rejects_unsupported_order():
         check_derivative_relation(0.7, 3)
     with pytest.raises(DomainError):
         check_derivative_relation(-1.0, 1)
+    # A non-integral order is named, not truncated to the integer below it.
+    for n in (1.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^derivative order n must be an integer"):
+            check_derivative_relation(0.7, n)
 
 
 def test_formal_series_zero_order_partial_sum():
@@ -272,6 +282,16 @@ def test_formal_series_documents_divergence():
     assert "diverge" in r.description
     # the partial sum wanders far from the integral: that is the point
     assert abs(r.rhs - r.lhs) > 1.0
+
+
+def test_formal_series_rejects_bad_truncation_order():
+    for L in (2.7, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^truncation order L must be an integer"):
+            check_formal_series_4_21(0.1, L)
+    with pytest.raises(DomainError, match="^truncation order must be >= 0"):
+        check_formal_series_4_21(0.1, -1)
+    by_float, by_int = check_formal_series_4_21(0.1, 2.0), check_formal_series_4_21(0.1, 2)
+    assert (by_float.lhs, by_float.rhs, by_float.description) == (by_int.lhs, by_int.rhs, by_int.description)
 
 
 def test_formal_series_small_s_terms_still_decreasing():

@@ -452,15 +452,25 @@ def test_non_finite_arguments_are_named_before_the_probe(bad):
             assert str(exc.value).startswith(f"series sum overflows at |w|={abs_w} after")
 
 
-# name -> a call whose integrand, or closed-form argument, overflows.  The
-# overlap and the density are bounded, so they should return values one day.
+# name -> a call whose integrand, panel sums, total or closed-form argument
+# overflows.  The overlap and the density are bounded, so they should return
+# values one day.  4.19 names its inner overflow before integrating.
 OVERFLOWING_CALLS = {
     "nu(720)": lambda: nu(720.0, SPEC),
+    "nu(709.9)": lambda: nu(709.9, SPEC),
+    "nu(713.5)": lambda: nu(713.5, SPEC),
     "nu_alpha(720, 0.5)": lambda: nu_alpha(720.0, 0.5, SPEC),
+    "nu_alpha(711, 0.5)": lambda: nu_alpha(711.0, 0.5, SPEC),
     "overlap(27, 26.5)": lambda: overlap_continuous(PLAIN, 27.0, 26.5, SPEC),
+    "overlap(26.67, 26.6)": lambda: overlap_continuous(PLAIN, 26.67, 26.6, SPEC),
     "density(800, 790)": lambda: transition_density(PLAIN, 800.0, 790.0, SPEC),
+    "density(711, 700)": lambda: transition_density(PLAIN, 711.0, 700.0, SPEC),
     "cs_coefficient_continuous(27, 1)": lambda: cs_coefficient_continuous(PLAIN, 27.0, 1.0, SPEC),
+    "cs_coefficient_continuous(26.67, 1)": lambda: cs_coefficient_continuous(
+        PLAIN, 26.67, 1.0, SPEC
+    ),
     "1.6 at z=800": lambda: check_derivative_relation(800.0, 1, SPEC),
+    "4.19 at s=1.331": lambda: check_laplace_nu(1.331, SPEC),
     "4.19 at s=1.3": lambda: check_laplace_nu(1.3, SPEC),
     "4.19 at s=1.05": lambda: check_laplace_nu(1.05, SPEC),
     "exp_argument(27, 27)": lambda: exp_argument_matrix_elements(PLAIN, 27.0, 27.0, SPEC),
@@ -470,12 +480,19 @@ OVERFLOWING_CALLS = {
 
 @pytest.mark.parametrize("name", list(OVERFLOWING_CALLS))
 def test_overflow_raises_non_finite_without_a_warning(name):
+    expected = DomainError if name.startswith("4.19") else NonFinite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFinite) as exc:
+        with pytest.raises(expected) as exc:
             OVERFLOWING_CALLS[name]()
     if name.startswith("exp_argument"):
         assert str(exc.value) == "e^(|z|^2) overflows at label (27+0j): |z|^2 = 729"
+    if name == "nu(713.5)":
+        # Named at the first level, not after the whole panel budget.
+        assert str(exc.value).startswith("panel sums are non-finite on [")
+    if name == "nu(709.9)":
+        # Every panel is finite; their sum is not.
+        assert str(exc.value) == "the summed integral or its error estimate is non-finite"
 
 
 def test_nu_on_circle_matches_pointwise():
