@@ -182,8 +182,6 @@ def _eval_rows(args, parser) -> list:
             n_int = int(round(float(n_val)))
             v = poisson_density_discrete(float(args.zsq), n_int)
             rows.append((float(n_int), v, 0.0, 0.0))
-    else:  # pragma: no cover - argparse choices prevent this
-        parser.error(f"unknown function {fn!r}")
     return rows
 
 
@@ -290,10 +288,7 @@ def main(argv=None) -> int:
             return _cmd_eval(args, parser)
         if args.command == "check":
             return _cmd_check(args)
-        if args.command == "doot":
-            return _cmd_doot(args, parser)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-        return 2  # pragma: no cover
+        return _cmd_doot(args, parser)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -165,7 +165,10 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
     is a structural report, not an equality assertion: both values are
     returned along with their ratio integral/series, which approaches 1
     for the plain family as w grows.  Log-scaled evaluation keeps large w
-    representable.
+    representable, up to two caps: the series peaks near n = w and stops at
+    10 000 terms, so the plain family raises NoConvergence from w ~ 9500
+    (9000 works), and the integral's peak E ~ w must lie below the 1e6
+    truncation clamp, or `nu_general_log` raises NonDecaying.
     """
     w = float(w)
     if w < 0.0:

@@ -4,6 +4,8 @@ Each case evaluates its left- and right-hand sides by independent routes
 (adaptive quadrature against a closed form, or two unrelated quadratures)
 and reports absolute and relative error against a registered tolerance.
 4.22's right side is a family integral, so the nu evaluators compute it.
+The Laplace-weighted left sides of 4.18-4.22 all run on `_weighted_lhs`,
+with a closed-form probe; 1.6's difference stencil is one batched nu call.
 
 Reports carry a status: ``exact`` rows are hard verdicts whose ``passed``
 flag is exactly ``rel_err <= tol`` (absolute error when the right-hand
@@ -27,7 +29,6 @@ from .nu import (
     HyperParams,
     StructureFn,
     _integer,
-    nu,
     nu_alpha,
     nu_alpha_positive_batch,
     nu_general,
@@ -144,29 +145,24 @@ def _weight_exponent(sf: StructureFn) -> float:
     )
 
 
-def _check_reach(name: str, value: float, reach: float) -> None:
-    """DomainError naming the argument `name` = `value` whose outer truncation
-    sends the inner nu argument to `reach`, past _EXP_ARG_LIMIT."""
-    if reach > _EXP_ARG_LIMIT:
-        raise DomainError(
-            f"{name} {value!r} is too close to 1: the inner argument reaches {reach:.3g} "
-            "before the weight decays, overflowing linear-space nu values"
-        )
+def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth=0.0, name="scale"):
+    """integral over t of exp(-t) * t**b * inner(t), b from the family.
 
-
-def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth=0.0):
-    """integral over t of exp(-t) * t**b * inner(t / x), b from the family.
-
-    `inner` is a batched evaluator; `extra_growth` is the growth in t it
-    adds beyond t**b, which moves the truncation point and the peak out."""
+    `inner` is a batched nu at t / x; `extra_growth` is the growth in t it
+    adds beyond exp(t / x) and t**b, which moves the truncation point T and
+    the peak out.  A T that sends the inner argument past _EXP_ARG_LIMIT
+    raises a DomainError naming the argument `name` = x."""
     bexp = _weight_exponent(sf)
     rate = 1.0 - 1.0 / x
     growth = max(bexp, 0.0) + extra_growth
-    T = (_LOG_DROP + 20.0 + 5.0 * growth) / rate
-    _check_reach("scale", x, T / x)
-    peak = max(0.5, growth / rate)
+    T = (_LOG_DROP + 6.0 + 5.0 * growth) / rate
+    if T / x > _EXP_ARG_LIMIT:
+        raise DomainError(
+            f"{name} {x!r} is too close to 1: the inner argument reaches {T / x:.3g} "
+            "before the weight decays, overflowing linear-space nu values"
+        )
     probe = IntegrandProbe(
-        peak_location=peak, truncation_point=T, peak_log_value=0.0
+        peak_location=max(0.5, growth / rate), truncation_point=T, peak_log_value=0.0
     )
 
     def f(t):
@@ -175,7 +171,7 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth
             w = np.exp(-t)
         else:
             w = np.exp(-t + bexp * np.log(t))
-        return w * inner(t / x)
+        return w * inner(t)
 
     return integrate_semi_infinite_detailed(f, probe, spec)
 
@@ -192,18 +188,9 @@ def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None =
             "(the closed form 1/(s ln s) changes sign at s = 1 while the "
             "integral of a positive function cannot)"
         )
-    T = (_LOG_DROP + 6.0) / (s - 1.0)
-    _check_reach("s", s, T)
-    probe = IntegrandProbe(
-        peak_location=min(1.0, 0.5 * T), truncation_point=T, peak_log_value=0.0
-    )
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-s * t) * nu_positive_batch(_PLAIN, t, spec)
-
-    res = integrate_semi_infinite_detailed(f, probe, spec)
-    lhs = complex(res.value).real
+    # t = u/s turns the transform into 4.18's integral at scale s, over s.
+    res = _weighted_lhs(_PLAIN, s, spec, lambda u: nu_positive_batch(_PLAIN, u / s, spec), name="s")
+    lhs = complex(res.value).real / s
     rhs = 1.0 / (s * math.log(s))
     description = (
         f"exponential transform of nu at s={s:g}: nested quadrature vs "
@@ -222,7 +209,7 @@ def check_weighted_nu_integral(
     x = float(x)
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"weighted integral requires x > 1, got x={x!r}")
-    res = _weighted_lhs(sf, x, spec, lambda u: nu_positive_batch(sf, u, spec))
+    res = _weighted_lhs(sf, x, spec, lambda t: nu_positive_batch(sf, t / x, spec))
     lhs = complex(res.value).real
     log_norm = sum(math.lgamma(bj) for bj in sf.params.b) - sum(
         math.lgamma(ai) for ai in sf.params.a
@@ -256,7 +243,7 @@ def check_eq_4_20(
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"power-weighted integral requires x > 1, got x={x!r}")
     sf = StructureFn(HyperParams(1, 1, (1.0,), (b + 1.0,)))
-    res = _weighted_lhs(sf, x, spec, lambda u: nu_positive_batch(sf, u, spec))
+    res = _weighted_lhs(sf, x, spec, lambda t: nu_positive_batch(sf, t / x, spec))
     lhs_norm = complex(res.value).real
     gamma_b1 = math.gamma(b + 1.0)
     lhs_unnorm = lhs_norm / gamma_b1
@@ -308,7 +295,7 @@ def check_eq_4_22(
 
     # Left side: outer t-integral with the batched two-argument nu.
     res = _weighted_lhs(
-        sf, C, spec, lambda u: nu_alpha_positive_batch(u, alpha, spec), max(alpha, 0.0)
+        sf, C, spec, lambda t: nu_alpha_positive_batch(t / C, alpha, spec), max(alpha, 0.0)
     )
     lhs = complex(res.value).real
 
@@ -420,7 +407,11 @@ def check_complex_gaussian(
 def check_derivative_relation(
     z: float, n: int, spec: QuadSpec | None = None, tol: float | None = None
 ) -> IdentityReport:
-    """n-th derivative of nu by central differences vs the two-argument nu at -n."""
+    """n-th derivative of nu by central differences vs the two-argument nu at -n.
+
+    Richardson extrapolation combines the steps h = 4e-3 * min(z, 1) and 2h.
+    The five points are one batched nu call, on one probe and panel tree, so
+    their quadrature errors are alike and cancel in the differences."""
     t0 = time.perf_counter()
     spec = spec if spec is not None else QuadSpec()
     z = float(z)
@@ -429,21 +420,12 @@ def check_derivative_relation(
         raise DomainError(f"derivative check supports n in {{1, 2}}, got n={n}")
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"derivative check requires z > 0, got z={z!r}")
-    if n == 1:
-        h = 1e-4
-        default_tol = 1e-5
-    else:
-        h = 1e-3
-        default_tol = 1e-4
-    tol = default_tol if tol is None else float(tol)
-    if z - h <= 0.0:
-        h = 0.5 * z
-    if n == 1:
-        lhs = (nu(z + h, spec).real - nu(z - h, spec).real) / (2.0 * h)
-    else:
-        lhs = (
-            nu(z + h, spec).real - 2.0 * nu(z, spec).real + nu(z - h, spec).real
-        ) / (h * h)
+    tol = (1e-5 if n == 1 else 1e-4) if tol is None else float(tol)
+    h = 4e-3 * min(z, 1.0)
+    values = nu_positive_batch(_PLAIN, z + h * np.arange(-2.0, 3.0), spec)
+    # (4 D(h) - D(2h)) / 3 for the central differences D at steps h and 2h.
+    weights = (1.0, -8.0, 0.0, 8.0, -1.0) if n == 1 else (-1.0, 16.0, -30.0, 16.0, -1.0)
+    lhs = float(np.dot(weights, values)) / (12.0 * h**n)
     rhs = nu_alpha(z, -float(n), spec)
     description = (
         f"order-{n} central difference of nu at z={z:g} (step {h:g}) vs the "
@@ -474,15 +456,11 @@ def check_formal_series_4_21(
     if L < 0:
         raise DomainError(f"truncation order must be >= 0, got L={L}")
 
-    probe_t = IntegrandProbe(
-        peak_location=0.5, truncation_point=_LOG_DROP + 6.0, peak_log_value=0.0
+    # exp(-s*t) <= 1 keeps the inner nu bounded: the scale is infinite.
+    res = _weighted_lhs(
+        _PLAIN, math.inf, spec, lambda t: nu_positive_batch(_PLAIN, np.exp(-s * t), spec)
     )
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-t) * nu_positive_batch(_PLAIN, np.exp(-s * t), spec)
-
-    lhs = complex(integrate_semi_infinite_detailed(f, probe_t, spec).value).real
+    lhs = complex(res.value).real
 
     ls = np.arange(L + 1)
 

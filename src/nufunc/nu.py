@@ -319,7 +319,12 @@ def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, s
 def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec):
     """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for a
     1-d array of exponents c = ln w on one panel tree; `log_r` is the
-    largest ln w."""
+    largest ln w.  Right of E0 = max(0, -alpha - 1/2), past the last zero of
+    1/Gamma, the log-modulus at `log_r` is the concave (1,1; 1; b) family's
+    at E - E0, b = alpha + 1 + E0, plus (alpha + E0)*log_r - ln Gamma(b), so
+    that family's `_nu_probe`, moved right by E0 and up by that constant, is
+    the probe.  Left of E0 the log-modulus may rise above the probe's peak
+    value; the truncation point then lies even further below the maximum."""
 
     # Called with the nodes alone, as a tracer's wrapper does, f evaluates 1/Gamma.
     def f(E, log_abs=None, sign=None):
@@ -331,13 +336,11 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
 
     f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
 
-    def log_mod(E):
-        log_abs, _ = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        return (alpha + E) * log_r + log_abs
-
-    # Keep the peak search to the right of the last zero of 1/Gamma.
-    hint = max(_peak_hint(log_r) - alpha, -alpha - 1.0 + 1.5, 0.05)
-    probe = locate_peak(log_mod, hint)
+    E0 = max(-alpha - 0.5, 0.0)
+    b = alpha + 1.0 + E0
+    p = _nu_probe(StructureFn(HyperParams(1, 1, (1.0,), (b,))), log_r)
+    shift = (alpha + E0) * log_r - _log_gamma_scalar(b)
+    probe = IntegrandProbe(p.peak_location + E0, p.truncation_point + E0, p.peak_log_value + shift)
     # 1/Gamma(alpha+E+1) changes sign only left of -alpha-1; panels there
     # and 2 beyond are capped so the sign lobes are resolved.
     max_width = 0.5 if alpha <= -0.5 else None

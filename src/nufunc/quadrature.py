@@ -41,9 +41,11 @@ order as a per-panel loop would, so results are bit-identical to it.
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the domain
 is cut where the log-integrand has dropped 100*ln(10) below its peak, far
 beneath any tolerance this library works at.  `locate_peak` finds both points
-by golden-section search, doubling and bisection.  The nu family solves them
-by Newton's method on closed-form derivatives (`nu._nu_probe`) and falls back
-to `locate_peak`; `nu_alpha` and the 4.21 and 4.23 checks use it directly.
+by golden-section search, doubling and bisection.  The nu family, nu_alpha
+included, solves them by Newton's method on closed-form derivatives
+(`nu._nu_probe`) and falls back to `locate_peak`; the 4.21 moments, the 4.23
+check and the polar route call it directly.  The weighted identities
+4.18-4.22 set their probe in closed form (`identities._weighted_lhs`).
 """
 
 from __future__ import annotations
@@ -449,13 +451,10 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
     return IntegrationResult(total, err_total, starts.size)
 
 
-def integrate_semi_infinite_detailed(
-    f, probe: IntegrandProbe, spec: QuadSpec, max_panel_width=None
-) -> IntegrationResult:
+def integrate_semi_infinite_detailed(f, probe: IntegrandProbe, spec: QuadSpec) -> IntegrationResult:
     """Integrate a scalar f over [0, inf), truncated per `probe`, to
     spec.rel_tol.  `f` maps a numpy array of nodes to the matching array of
-    (possibly complex) values.  Coarse panels are at most `max_panel_width`
-    wide.
+    (possibly complex) values.
 
     Raises DomainError when `f` returns other than one value per node.
     """
@@ -469,7 +468,7 @@ def integrate_semi_infinite_detailed(
             )
         return y
 
-    res = _integrate_adaptive(scalar, probe, spec, max_panel_width, _SCALAR_NODE_BYTES)
+    res = _integrate_adaptive(scalar, probe, spec, node_bytes=_SCALAR_NODE_BYTES)
     return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 

@@ -9,6 +9,8 @@ import pytest
 from nufunc import (
     DomainError,
     HyperParams,
+    NoConvergence,
+    NonDecaying,
     QuadSpec,
     StructureFn,
     cs_coefficient_continuous,
@@ -18,6 +20,7 @@ from nufunc import (
     kp_coefficient,
     locate_peak,
     nu_general_detailed,
+    nu_general_log,
     overlap_continuous,
     poisson_density_discrete,
     rho_discrete,
@@ -326,6 +329,20 @@ def test_dc_limit_large_argument_uses_log_fields():
     assert math.isinf(out["series"]) and math.isinf(out["integral"])
     assert math.isclose(out["series_log"], 800.0, rel_tol=1e-12)
     assert abs(out["ratio"] - 1.0) <= 1e-6
+
+
+def test_log_normalizers_have_stated_argument_limits():
+    # The integral's peak sits near E = w, so past the 1e6 truncation clamp
+    # nu_general_log raises; the series peaks near n = w, so past its
+    # 10 000-term cap the comparison raises.
+    assert math.isclose(nu_general_log(PLAIN, 9.5e5, SPEC), 9.5e5, rel_tol=1e-12)
+    with pytest.raises(NonDecaying):
+        nu_general_log(PLAIN, 1e6, SPEC)
+    out = dc_limit_check(PLAIN, 9000.0, SPEC)
+    assert math.isclose(out["series_log"], 9000.0, rel_tol=1e-12)
+    assert abs(out["ratio"] - 1.0) <= 1e-6
+    with pytest.raises(NoConvergence):
+        dc_limit_check(PLAIN, 1e4, SPEC)
 
 
 def test_dc_limit_rejects_non_entire_family():

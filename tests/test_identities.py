@@ -254,6 +254,15 @@ def test_derivative_relation_first_and_second():
     assert r2.passed
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("z", [1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.7, 1.4, 5.0, 50.0, 300.0, 650.0])
+def test_derivative_relation_holds_across_its_domain(z, n):
+    # Near z = 0, nu behaves like 1/ln(1/z); fixed steps of 1e-4 and 1e-3
+    # missed the registered tolerances there by up to 0.13.
+    r = check_derivative_relation(z, n)
+    assert r.passed and r.tol == (1e-5 if n == 1 else 1e-4)
+
+
 def test_derivative_relation_rejects_unsupported_order():
     with pytest.raises(DomainError):
         check_derivative_relation(0.7, 3)

@@ -42,7 +42,7 @@ from nufunc.nu import (
     rho_discrete,
 )
 from nufunc.quadrature import QuadSpec, locate_peak
-from nufunc.special import _log_gamma_scalar, log_gamma
+from nufunc.special import _log_gamma_scalar, log_gamma, reciprocal_gamma_log_signed
 
 # The package's `nu` function shadows the `nufunc.nu` module attribute.
 NU_MODULE = importlib.import_module("nufunc.nu")
@@ -622,6 +622,33 @@ def test_nu_probe_needs_no_generic_search(monkeypatch):
         calls.clear()
         nu(w, SPEC)
         assert not fallbacks and len(calls) <= 10
+
+
+@pytest.mark.parametrize(
+    "alpha", [-3.7, -2.9, -2.0, -1.5, -1.0, -0.6, -0.5, -0.2, 0.0, 0.3, 1.8, 5.0, 10.0]
+)
+def test_nu_alpha_takes_the_nu_probe(alpha, monkeypatch):
+    # Right of max(0, -alpha - 1/2) the nu_alpha log-modulus is a shifted
+    # (1,1; 1; b) family's, so the Newton probe serves it; the generic search
+    # made 45-57 evaluations per call.
+    fallbacks = _count_fallbacks(monkeypatch)
+    calls = _count_log_rho(monkeypatch)
+    probes = []
+    engine = NU_MODULE.integrate_vector_semi_infinite
+
+    def captured(f, probe, *args, **kwargs):
+        probes.append(probe)
+        return engine(f, probe, *args, **kwargs)
+
+    monkeypatch.setattr(NU_MODULE, "integrate_vector_semi_infinite", captured)
+    for w in (0.01, 0.5, 2.0, 20.0, 300.0):
+        probes.clear()
+        calls.clear()
+        nu_alpha_detailed(w, alpha, SPEC)
+        assert not fallbacks and len(calls) <= 10
+        T, peak = probes[0].truncation_point, probes[0].peak_log_value
+        log_abs, _ = reciprocal_gamma_log_signed(np.array([alpha + T + 1.0]))
+        assert (alpha + T) * math.log(w) + log_abs[0] <= peak - 100.0 * math.log(10.0)
 
 
 def test_nu_probe_solves_a_convex_falling_log_integrand_from_the_left(monkeypatch):
