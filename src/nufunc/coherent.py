@@ -165,10 +165,11 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
     is a structural report, not an equality assertion: both values are
     returned along with their ratio integral/series, which approaches 1
     for the plain family as w grows.  Log-scaled evaluation keeps large w
-    representable, up to two caps: the series peaks near n = w and stops at
-    10 000 terms, so the plain family raises NoConvergence from w ~ 9500
-    (9000 works), and the integral's peak E ~ w must lie below the 1e6
-    truncation clamp, or `nu_general_log` raises NonDecaying.
+    representable, up to the 1e6 truncation clamp: the integral's peak
+    E ~ w must lie below it, or `nu_general_log` raises NonDecaying (the
+    plain family works at w = 9.5e5 and raises from about 9.8e5), and the
+    series' term cap grows with its peak near n = w only while that peak
+    is within it.
     """
     w = float(w)
     if w < 0.0:

@@ -331,8 +331,12 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
         E = np.asarray(E, dtype=float)
         if log_abs is None:
             log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        vals = sign[:, None] * np.exp((alpha + E)[:, None] * c + log_abs[:, None])
-        return np.where(sign[:, None] == 0.0, 0.0, vals)
+        # At a zero of 1/Gamma, log_abs is -inf: exp gives 0, times sign 0 is +0.0.
+        x = (alpha + E)[:, None] * c
+        x += log_abs[:, None]
+        np.exp(x, out=x)
+        x *= sign[:, None]
+        return x
 
     f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
 
@@ -525,17 +529,27 @@ def pfq_series(params: HyperParams, w) -> complex:
 
 
 def pfq_series_log(params: HyperParams, w: float) -> float:
-    """ln of the series value for real w >= 0, evaluated wholly in log space."""
+    """ln of the series value for real w >= 0, evaluated wholly in log space.
+
+    An entire family's terms peak near n* = w^(1/(1+q-p)), so its cap is
+    10 000 terms plus n* + 10*sqrt(n*) while n* is within the 1e6
+    truncation clamp; a unit-disc family keeps 10 000.
+    """
     if not 0.0 <= w < math.inf:
         raise DomainError(f"pfq_series_log requires finite w >= 0, got {w!r}")
     if w == 0.0:
         return 0.0
     _check_domain(params, w)
+    cap = _SERIES_CAP
+    if params.p <= params.q:
+        peak = w ** (1.0 / (1 + params.q - params.p))
+        if peak <= _TRUNCATION_CLAMP:
+            cap += int(peak + 10.0 * math.sqrt(peak))
     log_w = math.log(w)
     log_terms = [0.0]
     lt = 0.0
     best = 0.0
-    for n in range(_SERIES_CAP):
+    for n in range(cap):
         step = log_w
         for ai in params.a:
             step += math.log(ai + n)
@@ -549,5 +563,5 @@ def pfq_series_log(params: HyperParams, w: float) -> float:
             arr = np.asarray(log_terms)
             return best + math.log(np.sum(np.exp(arr - best)))
     raise NoConvergence(
-        f"log-scale series did not converge within {_SERIES_CAP} terms at w={w:.6g}"
+        f"log-scale series did not converge within {cap} terms at w={w:.6g}"
     )

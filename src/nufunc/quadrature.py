@@ -36,7 +36,10 @@ The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked (2, 31) weights-times-values product, and the acceptance test,
 the panel cap and the final position-ordered sum each run over a level at
 once.  Both the stacked product and the cumulative sums add in the same
-order as a per-panel loop would, so results are bit-identical to it.
+order as a per-panel loop would, so results are bit-identical to it.  The
+loop ends at the first level whose panels all pass, before any split,
+ladder or cap bookkeeping, and the position sort runs only when panels
+were accepted on more than one level (the coarse level is in order).
 
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the domain
 is cut where the log-integrand has dropped 100*ln(10) below its peak, far
@@ -320,7 +323,7 @@ def _panel_values(f, a, b, per_call):
         if per_call is None:
             per_call = _per_call(max(sums[0][0, 0].nbytes, sums[0].itemsize))
         s += k
-    sums, moduli = np.concatenate(sums), np.concatenate(moduli)
+    sums, moduli = (np.concatenate(p) if len(p) > 1 else p[0] for p in (sums, moduli))
     half = half.reshape(half.shape + (1,) * (moduli.ndim - 1))
     return half * sums[:, 0], half * sums[:, 1], half * moduli
 
@@ -409,10 +412,15 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
             width = ((hi - lo) / T).reshape((-1,) + (1,) * (err.ndim - 1))
             budget = np.maximum(total_budget * width, budget_floor)
             within = (err <= budget).reshape(lo.size, -1).all(axis=1)
-            # Failing panels split in order, two new panels each, while the
-            # count is under the cap: the first ceil((cap - count) / 2) of them.
-            # A failing origin panel grows a ladder instead when its 12 further
-            # panels fit under the cap and its rungs stay within _MAX_DEPTH.
+            if within.all():
+                # Nothing splits, and the cap and depth flags stand as they are.
+                done.append((lo, value, err))
+                break
+            # Some panel fails.  Failing panels split in order, two new panels
+            # each, while the count is under the cap: the first
+            # ceil((cap - count) / 2) of them.  A failing origin panel grows a
+            # ladder instead when its 12 further panels fit under the cap and
+            # its rungs stay within _MAX_DEPTH.
             fail = ~within & (depth < _MAX_DEPTH)
             room = max(-((count - spec.max_panels) // 2), 0)
             ladder = lo[0] == 0.0 and fail[0] and depth[0] + _LADDER < _MAX_DEPTH and room > _LADDER // 2
@@ -431,11 +439,15 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
                 lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
                 depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
 
-        starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
-        order = np.argsort(starts, kind="stable")
+        # The coarse level is in order of position; several levels are sorted.
+        starts, values, errors = done[0]
+        if len(done) > 1:
+            starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
+            order = np.argsort(starts, kind="stable")
+            values, errors = values[order], errors[order]
         # Copies, so the results do not keep the whole cumulative sums alive.
-        total = np.cumsum(values[order], axis=0)[-1].copy()
-        err_total = np.cumsum(errors[order], axis=0)[-1].copy()
+        total = np.cumsum(values, axis=0)[-1].copy()
+        err_total = np.cumsum(errors, axis=0)[-1].copy()
     if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
         raise NonFinite("the summed integral or its error estimate is non-finite")
 

@@ -74,12 +74,14 @@ _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
 
 def _rational(num, den, t):
     """Horner evaluation of num(t) / den(t), coefficients highest first."""
-    p = np.full_like(t, num[0])
-    q = np.full_like(t, den[0])
-    for c in num[1:]:
+    p = t * num[0]
+    p += num[1]
+    q = t * den[0]
+    q += den[1]
+    for c in num[2:]:
         p *= t
         p += c
-    for c in den[1:]:
+    for c in den[2:]:
         q *= t
         q += c
     return p / q

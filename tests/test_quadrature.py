@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nufunc import HyperParams, StructureFn, nu, overlap_continuous
+from nufunc import HyperParams, StructureFn, nu, nu_alpha, overlap_continuous
 from nufunc.cli import main as cli_main
 from nufunc.errors import DomainError, NonDecaying, NonFinite, ToleranceNotMet
 from nufunc.quadrature import (
@@ -208,7 +208,7 @@ def test_endpoint_log_singularity_is_absorbed():
 # ---------------------------------------------------------------------------
 
 
-def _reference_adaptive(f, probe, spec, max_panel_width=None):
+def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf):
     """The depth-first engine: one integrand call per panel at its 31
     Kronrod nodes, recursing on a failing panel's halves before moving to
     the next, and on the rungs of a failing origin panel's ladder.  Kept as
@@ -224,7 +224,7 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None):
         modulus = half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))
         return kronrod, np.maximum(np.abs(kronrod - gauss), EPS * modulus)
 
-    bounds = _initial_boundaries(probe, max_panel_width)
+    bounds = _initial_boundaries(probe, max_panel_width, cap_end)
     coarse = [panel(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     scale = np.abs(coarse[0][0])
     for c, _ in coarse[1:]:
@@ -271,19 +271,20 @@ def _bump(t):
     return np.exp(-t) + np.exp(-(((t - 1.7) / 0.2) ** 2))
 
 
-def _nu_engine_call(w):
-    """The one-row integrand, probe and panel cap that nu(w) hands the engine."""
+def _single_engine_call(evaluate):
+    """The one-row integrand, probe, panel cap and cap end that a single
+    evaluator call hands the engine."""
     nu_module = importlib.import_module("nufunc.nu")
     seen = []
 
     def capture(f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None):
-        seen.append((f, probe, max_panel_width))
+        seen.append((f, probe, max_panel_width, cap_end))
         return integrate_vector_semi_infinite(f, probe, spec, max_panel_width, cap_end, node_bytes)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(nu_module, "integrate_vector_semi_infinite", capture)
     try:
-        nu(w, SPEC)
+        evaluate()
     finally:
         mp.undo()
     (call,) = seen
@@ -299,32 +300,44 @@ _EXP_PROBE = IntegrandProbe(
 )
 _OSC_PROBE = IntegrandProbe(peak_location=0.0, truncation_point=300.0, peak_log_value=0.0)
 
-# name -> () -> (integrand, probe, max_panel_width)
+# name -> () -> (integrand, probe, max_panel_width, cap_end)
 _ENGINE_CASES = {
-    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None),
-    "vector": lambda: (_three_components, _EXP_PROBE, None),
-    "oscillatory-capped": lambda: (lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0),
-    "log-singular": lambda: (
-        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None
+    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None, math.inf),
+    "vector": lambda: (_three_components, _EXP_PROBE, None, math.inf),
+    "oscillatory-capped": lambda: (
+        lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0, math.inf
     ),
-    "bump": lambda: (_bump, _EXP_PROBE, None),
+    "log-singular": lambda: (
+        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None,
+        math.inf,
+    ),
+    "bump": lambda: (_bump, _EXP_PROBE, None, math.inf),
 }
-_NU_ENGINE_ARGS = {"nu(1)": 1.0, "nu(2+3j)": 2.0 + 3.0j}
-_ENGINE_CASES.update({name: (lambda w=w: _nu_engine_call(w)) for name, w in _NU_ENGINE_ARGS.items()})
+# Single evaluator calls whose engine call is a case.  nu_alpha(2, -1.5)
+# caps its panels left of its cap end: 20 coarse panels, all accepted on
+# the first level, where capping them all would make 179.
+_SINGLE_CALLS = {
+    "nu(1)": lambda: nu(1.0, SPEC),
+    "nu(2+3j)": lambda: nu(2.0 + 3.0j, SPEC),
+    "nu_alpha(2, -1.5)": lambda: nu_alpha(2.0, -1.5, SPEC),
+}
+_ENGINE_CASES.update(
+    {name: (lambda call=call: _single_engine_call(call)) for name, call in _SINGLE_CALLS.items()}
+)
 
 
 @pytest.mark.parametrize("name", list(_ENGINE_CASES))
 def test_breadth_first_engine_matches_depth_first_reference(name):
-    f, probe, width = _ENGINE_CASES[name]()
-    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width)
-    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width)
+    f, probe, width, cap_end = _ENGINE_CASES[name]()
+    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end)
+    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end)
     for g, r in zip((got.value, got.error_estimate), ref[:2]):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
     assert got.panel_count == ref[2]
-    if name in _NU_ENGINE_ARGS:
+    if name in _SINGLE_CALLS:
         # The single evaluator returns the reference's one row.
-        value = nu(_NU_ENGINE_ARGS[name], SPEC)
+        value = _SINGLE_CALLS[name]()
         assert np.complex128(value).tobytes() == np.complex128(ref[0][0]).tobytes()
     if np.ndim(ref[0]) == 0 and width is None:
         # The scalar entry (which has no panel cap) sizes its first calls
