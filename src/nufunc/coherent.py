@@ -185,8 +185,8 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
             "integral_log": -math.inf,
             "ratio": 0.0,
         }
-    series_log = pfq_series_log(sf.params, w)
     integral_log = nu_general_log(sf, w, spec)
+    series_log = pfq_series_log(sf.params, w)
     return {
         "w": w,
         "series": math.exp(series_log) if series_log < 709.0 else math.inf,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentFamily, DomainError, NoConvergence, NonFinite
+from .errors import DivergentFamily, DomainError, NoConvergence, NonFinite, ToleranceNotMet
 from .quadrature import (
     IntegrandProbe,
     IntegrationResult,
@@ -286,6 +286,30 @@ def _convex_probe(sf: StructureFn, g, log_r: float):
     return None
 
 
+_LOG_DBL_MIN = math.log(np.finfo(float).tiny)
+
+
+def _flushed_exp(x):
+    """exp(x) in place, +0.0 where Re x < ln DBL_MIN: below any tolerance, and 10-100x faster."""
+    low = x.real < _LOG_DBL_MIN
+    x[low] = 0.0
+    np.exp(x, out=x)
+    x[low] = 0.0
+    return x
+
+
+def _tolerance_met(res: IntegrationResult, c, spec: QuadSpec, name: str) -> IntegrationResult:
+    """`res`, or ToleranceNotMet at the first w whose error estimate exceeds
+    rel_tol*|value|, as a cancelling integrand's (w < 0 or complex) can."""
+    miss = res.error_estimate > spec.rel_tol * np.abs(res.value)
+    if np.count_nonzero(miss):
+        k = int(np.argmax(miss))
+        w, err, val = complex(np.exp(c[k])), res.error_estimate[k], abs(res.value[k])
+        msg = f"{name} at w = {w:.6g} misses rel_tol {spec.rel_tol:g}: error estimate {err:.3g}"
+        raise ToleranceNotMet(f"{msg} against |value| {val:.3g}", res.value, res.error_estimate)
+    return res
+
+
 def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, scaled=False):
     """Integral over E >= 0 of exp(c*E) / rho(E) for a 1-d array of exponents
     c = ln|w| + i*arg(w), all on one panel tree; a single argument is a
@@ -307,13 +331,15 @@ def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, s
         x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[:, None]
         if scaled:
             x -= shift
-        return np.exp(x, out=x)
+        return _flushed_exp(x)
 
     # The engine evaluates ln rho once per level, not once per call.
     f.node_terms = lambda E: (sf.log_rho_continuous(E),)
+    f.nonnegative = not np.iscomplexobj(c)  # exp of a real exponent is >= 0
     max_im = float(np.max(np.abs(np.imag(c))))
     max_width = 6.0 / max_im if max_im > 1e-9 else None
-    return integrate_vector_semi_infinite(f, probe, spec, max_width, node_bytes=c.nbytes), shift
+    res = integrate_vector_semi_infinite(f, probe, spec, max_width, node_bytes=c.nbytes)
+    return _tolerance_met(res, c, spec, "nu"), shift
 
 
 def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec):
@@ -334,11 +360,13 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
         # At a zero of 1/Gamma, log_abs is -inf: exp gives 0, times sign 0 is +0.0.
         x = (alpha + E)[:, None] * c
         x += log_abs[:, None]
-        np.exp(x, out=x)
-        x *= sign[:, None]
+        _flushed_exp(x)
+        if alpha <= -1.0:  # above, every sign is +1
+            x *= sign[:, None]
         return x
 
     f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
+    f.nonnegative = alpha > -1.0  # then 1/Gamma(alpha+E+1) > 0 for all E >= 0
 
     E0 = max(-alpha - 0.5, 0.0)
     b = alpha + 1.0 + E0
@@ -349,7 +377,8 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
     # and 2 beyond are capped so the sign lobes are resolved.
     max_width = 0.5 if alpha <= -0.5 else None
     cap_end = max(-alpha - 1.0, 0.0) + 2.0
-    return integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
+    res = integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
+    return _tolerance_met(res, c, spec, f"nu_alpha (alpha = {alpha:g})")
 
 
 def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):

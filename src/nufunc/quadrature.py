@@ -21,6 +21,9 @@ call raise `ToleranceNotMet`, whose message names which of the two did.
 A non-finite integrand value, panel sum or total makes it raise `NonFinite`
 naming the panel or the total, never return inf or NaN; numpy's overflow
 warnings are off inside the engine, so such a call does not warn either.
+As the K31 weights are positive, a call's values are scanned only where its
+|f| panel sums are non-finite (a value is, or a sum overflowed); an f's
+true `nonnegative` attribute (a nu integrand >= 0) skips `np.abs` there.
 Each call's output stays within `_CALL_BYTES`, except that a call always
 carries at least one panel, so an integrand whose single panel is larger
 than the bound gets one panel per call.  The first level is sized by the
@@ -35,11 +38,12 @@ level and sliced for each call.
 The bookkeeping runs on whole levels as arrays: each call's panel sums are
 one stacked (2, 31) weights-times-values product, and the acceptance test,
 the panel cap and the final position-ordered sum each run over a level at
-once.  Both the stacked product and the cumulative sums add in the same
-order as a per-panel loop would, so results are bit-identical to it.  The
-loop ends at the first level whose panels all pass, before any split,
-ladder or cap bookkeeping, and the position sort runs only when panels
-were accepted on more than one level (the coarse level is in order).
+once.  The stacked product and the sums over panels (`_fold`: numpy's
+reduce adds rows in order over >= 2 columns, a cumulative sum otherwise)
+add in the order of a per-panel loop, so results are bit-identical to it.
+The loop ends at the first level whose panels all pass, before any split,
+ladder or cap bookkeeping, and the position sort runs only when panels were
+accepted on more than one level (the coarse level is in order).
 
 Semi-infinite integrals are truncated using an `IntegrandProbe`: the domain
 is cut where the log-integrand has dropped 100*ln(10) below its peak, far
@@ -306,12 +310,6 @@ def _panel_values(f, a, b, per_call):
         nodes = x[s : s + k]
         y = np.asarray(f(nodes.ravel(), *(t[s * n : (s + k) * n] for t in terms)))
         y = y.reshape(nodes.shape + y.shape[1:])
-        finite = np.isfinite(y).all(axis=tuple(range(1, y.ndim)))
-        if not finite.all():
-            j = s + int(np.argmin(finite))
-            raise NonFinite(
-                f"integrand returned non-finite values on [{a[j]:.6g}, {b[j]:.6g}]"
-            )
         # A stack of (2, 31) @ (31, m) products adds each panel's terms in
         # the order a per-panel tensordot with the (2, 31) weights does;
         # `y @ w` and einsum do not.  BLAS sums strided operands in another
@@ -319,7 +317,13 @@ def _panel_values(f, a, b, per_call):
         shape = y.shape[:1] + (2,) + y.shape[2:]
         y = np.ascontiguousarray(y).reshape(len(y), n, -1)
         sums.append(np.matmul(_KRONROD_WEIGHTS, y).reshape(shape))
-        moduli.append(np.matmul(_KRONROD_WEIGHTS[:1], np.abs(y)).reshape(shape[:1] + shape[2:]))
+        modulus = np.matmul(_KRONROD_WEIGHTS[:1], y if getattr(f, "nonnegative", False) else np.abs(y))
+        moduli.append(modulus.reshape(shape[:1] + shape[2:]))
+        if not np.isfinite(modulus).all():
+            finite = np.isfinite(y).all(axis=(1, 2))
+            if not finite.all():
+                j = s + int(np.argmin(finite))
+                raise NonFinite(f"integrand returned non-finite values on [{a[j]:.6g}, {b[j]:.6g}]")
         if per_call is None:
             per_call = _per_call(max(sums[0][0, 0].nbytes, sums[0].itemsize))
         s += k
@@ -355,6 +359,11 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf
             refined.append(right)
         bounds = refined
     return bounds
+
+
+def _fold(x):
+    """Sum over axis 0 in row order, which numpy's reduce keeps over >= 2 columns."""
+    return np.add.reduce(x, axis=0) if x.ndim == 2 and x.shape[1] > 1 else x.cumsum(0)[-1].copy()
 
 
 def _per_call(node_bytes):
@@ -401,8 +410,7 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
             if not done:
                 # Later levels carry as many panels as the real output size allows.
                 per_call = _per_call(max(value[0].nbytes, value.itemsize))
-                # Cumulative sums fold left to right, exactly as a loop of `+` does.
-                scale = np.cumsum(np.abs(value), axis=0)[-1]
+                scale = _fold(np.abs(value))
                 total_budget = np.maximum(spec.rel_tol * scale, _ABS_FLOOR)
                 # Fixed-slice floor: a panel may spend 1/1024 of the budget where its
                 # width share is less, so panels at a mild endpoint singularity (a
@@ -445,9 +453,7 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
             starts, values, errors = (np.concatenate(parts) for parts in zip(*done))
             order = np.argsort(starts, kind="stable")
             values, errors = values[order], errors[order]
-        # Copies, so the results do not keep the whole cumulative sums alive.
-        total = np.cumsum(values, axis=0)[-1].copy()
-        err_total = np.cumsum(errors, axis=0)[-1].copy()
+        total, err_total = _fold(values), _fold(errors)
     if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
         raise NonFinite("the summed integral or its error estimate is non-finite")
 

@@ -1,6 +1,7 @@
 """Tests for coherent-state coefficients, overlaps, and transition densities."""
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -341,6 +342,19 @@ def test_log_normalizers_have_stated_argument_limits():
         out = dc_limit_check(PLAIN, w, SPEC)
         assert math.isclose(out["series_log"], w, rel_tol=1e-12)
         assert abs(out["ratio"] - 1.0) <= 1e-6
+
+
+def test_dc_limit_evaluates_the_integral_before_the_series(monkeypatch):
+    # Past the integral's limit the check raises at once, without summing
+    # the series' million terms.
+    coherent = importlib.import_module("nufunc.coherent")
+
+    def series_log(*args):
+        raise AssertionError("pfq_series_log was called")
+
+    monkeypatch.setattr(coherent, "pfq_series_log", series_log)
+    with pytest.raises(NonDecaying):
+        dc_limit_check(PLAIN, 9.9e5, SPEC)
 
 
 def test_dc_limit_rejects_non_entire_family():

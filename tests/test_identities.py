@@ -210,13 +210,39 @@ def test_angular_kernel_matches_phase_average():
 
 
 def test_sinc_kernel_is_the_real_part_of_the_angular_kernel_at_zero():
+    # The separable kernel takes sin pi(E - F) from per-node sines and
+    # cosines, so it matches the angular kernel's real part to 2e-14, not
+    # bit for bit; at E = F both are exactly 1.
     F = np.linspace(0.0, 30.0, 301)
     for d in (0.0, 1e-9, 1.4, 4.9):
         full = _angular_kernel(0.0, F + d, F)
         real = _sinc_kernel(F + d, F)
         assert real.dtype == np.float64
-        assert real.tobytes() == full.real.tobytes(), d
+        assert np.max(np.abs(real - full.real)) <= 2e-14, d
         assert not full.imag.any()
+        if d == 0.0:
+            assert (real == 1.0).all() and (full.real == 1.0).all()
+
+
+def test_planar_left_side_keeps_its_value_under_the_separable_kernel():
+    # Left sides with the np.sinc kernel, before the separable one.
+    for (x, y), before in (((0.3, 0.5), 0.438211140525897), ((0.5, 0.5), 0.5997314478387921)):
+        lhs = check_complex_gaussian(x, y).lhs
+        assert lhs.imag == 0.0 and abs(lhs.real - before) <= 1e-13 * before
+
+
+def test_sinc_kernel_is_within_2e_14_of_np_sinc():
+    E = np.linspace(0.0, 100.0, 4001)
+    for d in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.4, 4.9, 60.0):
+        for e, f in ((E[E >= d], E[E >= d] - d), (E, E + d)):
+            k = _sinc_kernel(e, f)
+            assert np.max(np.abs(k - np.sinc(e - f))) <= 2e-14, d
+            if d == 0.0:
+                assert (k == 1.0).all()
+    # Outer nodes against a column of inner nodes, as the 4.23 integrand
+    # calls it, across the guard.
+    F = (E[::40] + np.array([[0.0], [0.019], [0.021], [7e-5]])).reshape(-1, 1)
+    assert np.max(np.abs(_sinc_kernel(E, F) - np.sinc(E - F))) <= 2e-14
 
 
 def _reduction_dblquad(x, y):

@@ -1,5 +1,6 @@
 """Unit tests for the nu-function family evaluators."""
 
+import cmath
 import importlib
 import json
 import math
@@ -18,7 +19,7 @@ from nufunc.coherent import (
     transition_density,
 )
 from nufunc.doot import exp_argument_matrix_elements
-from nufunc.errors import DivergentFamily, DomainError, NonFinite
+from nufunc.errors import DivergentFamily, DomainError, NonFinite, ToleranceNotMet
 from nufunc.identities import check_complex_gaussian, check_derivative_relation, check_laplace_nu
 from nufunc.nu import (
     HyperParams,
@@ -381,6 +382,82 @@ def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypa
     assert plain.value.tobytes() == res.value.tobytes()
     assert plain.error_estimate.tobytes() == res.error_estimate.tobytes()
     assert plain.panel_count == res.panel_count
+
+
+def _captured_integrand(call, monkeypatch):
+    """The integrand that `call` hands the engine, and the result."""
+    engine, seen = NU_MODULE.integrate_vector_semi_infinite, []
+
+    def captured(f, *args, **kwargs):
+        seen.append(f)
+        return engine(f, *args, **kwargs)
+
+    monkeypatch.setattr(NU_MODULE, "integrate_vector_semi_infinite", captured)
+    out = call()
+    monkeypatch.undo()
+    (f,) = seen
+    return f, out
+
+
+@pytest.mark.parametrize("ws", [[1e-30, 5.0], [1e-30 * cmath.exp(1j), 5.0]], ids=["real", "complex"])
+def test_nu_integrand_flushes_exponents_below_ln_dbl_min(ws, monkeypatch):
+    f, _ = _captured_integrand(lambda: nu_general_batch_detailed(PLAIN, np.array(ws), SPEC), monkeypatch)
+    c = np.log(np.abs(ws)) + 1j * np.angle(ws) if np.iscomplexobj(ws) else np.log(ws)
+    # exp of a real exponent is non-negative, and only then does f say so.
+    assert f.nonnegative == (not np.iscomplexobj(ws))
+    E = np.linspace(0.0, 40.0, 31 * 7)
+    x = E[:, None] * c - PLAIN.log_rho_continuous(E)[:, None]
+    low = x.real < math.log(np.finfo(float).tiny)
+    assert 0 < np.count_nonzero(low) < x.size
+    # With the nodes alone, as a tracer's wrapper calls it, and with the hook.
+    for y in (f(E), f(E, *f.node_terms(E))):
+        assert y.dtype == x.dtype
+        assert y[~low].tobytes() == np.exp(x[~low]).tobytes()
+        assert y[low].tobytes() == np.zeros(np.count_nonzero(low), x.dtype).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.9, -1.0, -1.5])
+def test_nu_alpha_integrand_is_non_negative_only_above_minus_one(alpha, monkeypatch):
+    # Above -1 every sign of 1/Gamma(alpha+E+1) is +1, so skipping the sign
+    # changes no bit; at and below -1 the sign is applied.
+    f, _ = _captured_integrand(lambda: nu_alpha_detailed(2.0, alpha, SPEC), monkeypatch)
+    assert f.nonnegative == (alpha > -1.0)
+    E = np.linspace(0.0, 30.0, 31 * 3)
+    log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
+    x = (alpha + E)[:, None] * np.log([2.0]) + log_abs[:, None]
+    ref = np.where(x < math.log(np.finfo(float).tiny), 0.0, np.exp(x)) * sign[:, None]
+    assert f(E).tobytes() == f(E, log_abs, sign).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("w", [-50.0, -20.0])
+def test_nu_that_misses_its_tolerance_raises(w):
+    # The integrand cancels: |value| is far below the integral of |f|, to
+    # which the engine holds the error.  nu(-50) is -0.1532 + 0.0929i.
+    with pytest.raises(ToleranceNotMet, match="misses rel_tol 1e-10") as exc:
+        nu(w, SPEC)
+    est, bound = exc.value.estimate, exc.value.error_bound
+    assert est.shape == bound.shape == (1,)
+    assert bound[0] > SPEC.rel_tol * abs(est[0])
+
+
+def test_overlap_whose_normalizer_misses_its_tolerance_raises():
+    with pytest.raises(ToleranceNotMet, match=r"at w = -36\+3j") as exc:
+        overlap_continuous(PLAIN, 6.0, -6.0 + 0.5j, SPEC)
+    assert exc.value.estimate.shape == exc.value.error_bound.shape == (3,)
+
+
+def test_nu_alpha_that_misses_its_tolerance_raises():
+    # nu_alpha(w, -1.5) changes sign near w = 0.106112, where its value is
+    # a small remainder of the integral of |f|.
+    with pytest.raises(ToleranceNotMet, match=r"nu_alpha \(alpha = -1.5\) at w = 0.106112\+0j"):
+        nu_alpha_detailed(0.10611229234938868, -1.5, SPEC)
+    assert nu_alpha(0.09, -1.5, SPEC) < 0.0 < nu_alpha(0.12, -1.5, SPEC)
+
+
+def test_nu_of_minus_ten_still_meets_its_tolerance():
+    res = nu_general_detailed(PLAIN, -10.0, SPEC)
+    assert 0.0 < res.error_estimate <= SPEC.rel_tol * abs(res.value)
+    assert abs(res.value - (-0.18358635434990248 + 0.15648098140274772j)) <= 1e-10
 
 
 def _error_text(call, *args):

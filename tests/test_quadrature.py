@@ -18,6 +18,7 @@ from nufunc.quadrature import (
     _MAX_DEPTH,
     IntegrandProbe,
     QuadSpec,
+    _fold,
     _initial_boundaries,
     _integrate_adaptive,
     _panel_values,
@@ -486,17 +487,50 @@ def test_panel_values_match_per_panel_tensordot(width, complex_values, per_call)
     a = np.cumsum(np.linspace(0.05, 1.3, 23)) - 0.05
     b = a + np.linspace(0.04, 0.9, 23)
     f = _columns(width, complex_values)
-    got = _panel_values(f, a, b, per_call)
-    ref = []
-    for ak, bk in zip(a, b):
-        mid, half = 0.5 * (ak + bk), 0.5 * (bk - ak)
-        y = f(mid + half * _KRONROD_NODES)
-        kronrod, gauss = half * np.tensordot(_KRONROD_WEIGHTS, y, axes=(1, 0))
-        ref.append((kronrod, gauss, half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))))
-    for g, r in zip(got, map(np.array, zip(*ref))):
-        assert g.shape == r.shape == ((23,) if width is None else (23, width))
-        assert g.dtype == r.dtype
-        assert g.tobytes() == r.tobytes()
+    integrands = [f]
+    if not complex_values:
+        # A non-negative integrand that says so skips np.abs, with the same bits.
+        def declared(t):
+            return np.abs(f(t))
+
+        declared.nonnegative = True
+        integrands.append(declared)
+    for fn in integrands:
+        got = _panel_values(fn, a, b, per_call)
+        ref = []
+        for ak, bk in zip(a, b):
+            mid, half = 0.5 * (ak + bk), 0.5 * (bk - ak)
+            y = fn(mid + half * _KRONROD_NODES)
+            kronrod, gauss = half * np.tensordot(_KRONROD_WEIGHTS, y, axes=(1, 0))
+            ref.append((kronrod, gauss, half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))))
+        for g, r in zip(got, map(np.array, zip(*ref))):
+            assert g.shape == r.shape == ((23,) if width is None else (23, width))
+            assert g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_fold_adds_rows_in_order_as_the_cumulative_sum(complex_values):
+    # np.add.reduce sums one column pairwise, so 1-D and one-column arrays
+    # keep the cumulative form; wider arrays take the reduce.
+    rng = np.random.default_rng(7)
+    for rows in (1, 2, 5, 31, 44, 257, 2000):
+        for shape in ((rows,), (rows, 1), (rows, 2), (rows, 3), (rows, 64), (rows, 434)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            if complex_values:
+                x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            got, ref = _fold(x), np.cumsum(x, axis=0)[-1]
+            assert np.shape(got) == ref.shape and got.dtype == ref.dtype
+            assert np.asarray(got).tobytes() == ref.tobytes(), shape
+
+
+def test_overflowing_panel_sum_of_finite_values_names_the_sums():
+    # Every value is finite, but a panel's |f| sum passes the largest double.
+    def f(t):
+        return np.full(t.shape, 1e308)
+
+    with pytest.raises(NonFinite, match="panel sums are non-finite"):
+        integrate_semi_infinite_detailed(f, _EXP_PROBE, SPEC)
 
 
 def test_nonfinite_names_first_bad_panel_of_a_later_chunk():
