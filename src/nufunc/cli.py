@@ -32,8 +32,8 @@ from .coherent import _density_detailed, _overlap_detailed, poisson_density_disc
 from .nu import (
     HyperParams,
     StructureFn,
-    nu_alpha_batch_detailed,
-    nu_general_batch_detailed,
+    nu_alpha_detailed,
+    nu_general_detailed,
     pfq_series,
 )
 from .quadrature import QuadSpec
@@ -136,15 +136,15 @@ def _eval_rows(args, parser) -> list:
         sf = _family(args) if fn == "gnu" else StructureFn(HyperParams(0, 0))
         if fn == "gnu" and args.grid is None and args.z is not None:
             w = parse_complex_literal(args.z)
-            ws, xs = np.array([w]), [abs(w)]
+            ws, xs = np.array([w if w.imag else w.real]), [abs(w)]  # a real --z is a real row
         else:
             ws = xs = inputs(args.z, "--z")
         for s in range(0, len(ws), _ROWS_PER_TREE):
             chunk = ws[s : s + _ROWS_PER_TREE]
             if fn == "nu-alpha":
-                res = nu_alpha_batch_detailed(chunk, args.alpha, spec)
-            else:  # complex exponents, as nu_general_detailed uses: --z keeps its digits
-                res = nu_general_batch_detailed(sf, chunk.astype(complex), spec)
+                res = nu_alpha_detailed(chunk, args.alpha, spec)
+            else:
+                res = nu_general_detailed(sf, chunk, spec)
             rows += zip(xs[s:], np.real(res.value), np.imag(res.value), res.error_estimate)
     elif fn == "pfq":
         sf = _family(args)

@@ -22,7 +22,6 @@ from .nu import (
     _integer,
     convergence_domain,
     nu_general,
-    nu_general_batch_detailed,
     nu_general_detailed,
     nu_general_log,
     pfq_series,
@@ -94,7 +93,7 @@ def _overlap_detailed(sf: StructureFn, z: complex, z2: complex, spec: QuadSpec):
     most 1."""
     if abs(z) == 0.0 or abs(z2) == 0.0:
         raise DomainError("continuous normalizer vanishes at z = 0")
-    res = nu_general_batch_detailed(sf, [z.conjugate() * z2, abs(z) ** 2, abs(z2) ** 2], spec)
+    res = nu_general_detailed(sf, [z.conjugate() * z2, abs(z) ** 2, abs(z2) ** 2], spec)
     (num, n1, n2), (num_err, err1, err2) = res.value.tolist(), res.error_estimate.tolist()
     n1, n2 = n1.real, n2.real
     if not (n1 > 0.0 and n2 > 0.0):

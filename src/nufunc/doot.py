@@ -37,7 +37,7 @@ from .nu import (
     StructureFn,
     convergence_domain,
     nu_general,
-    nu_general_batch_detailed,
+    nu_general_detailed,
 )
 from .quadrature import QuadSpec
 
@@ -364,7 +364,7 @@ def exp_argument_matrix_elements(
         overlap = 1.0 + 0.0j
     else:
         overlap = overlap_continuous(sf, z, z2, spec)
-    pair = nu_general_batch_detailed(sf, closed_args, spec)
+    pair = nu_general_detailed(sf, closed_args, spec)
     nu_plus, nu_minus = pair.value.tolist()
 
     exp_minus = NuWrap(sf, Exp(Product((Scalar(-z.conjugate()), SymbolMinus()))))

@@ -307,7 +307,7 @@ def check_eq_4_22(
     shifted = StructureFn(
         HyperParams(sf.params.q + 1, sf.params.p, [1.0] + shifted_b, shifted_a)
     )
-    inner = float(nu_positive_batch(shifted, [1.0 / C], spec)[0])
+    inner = nu_general(shifted, 1.0 / C, spec).real
     rhs = math.exp(-alpha * math.log(C) + log_pref) * inner
     description = (
         f"shift-parameter weighted integral (p={sf.params.p}, q={sf.params.q}, "

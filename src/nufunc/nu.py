@@ -194,17 +194,19 @@ def _peak_hint(log_abs_w: float) -> float:
     return max(digamma_inverse(log_abs_w) - 1.0, 1e-3)
 
 
-def _check_domain(params: HyperParams, abs_w: float) -> None:
+def _check_domain(params: HyperParams, abs_w) -> None:
+    """DivergentFamily, or DomainError at the first |w| >= 1 of `abs_w` (any shape)."""
     p, q = params.p, params.q
     if p > q + 1:
         raise DivergentFamily(
             f"family (p={p}, q={q}) has p > q+1; "
             "the defining integral diverges for every argument"
         )
-    if p == q + 1 and abs_w >= 1.0:
+    outside = np.ravel(abs_w)[np.ravel(abs_w) >= 1.0] if p == q + 1 else ()
+    if len(outside):
         raise DomainError(
             f"family (p={p}, q={q}) converges only for "
-            f"|w| < 1; got |w| = {abs_w:.6g}"
+            f"|w| < 1; got |w| = {outside[0]:.6g}"
         )
 
 
@@ -381,30 +383,68 @@ def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec
     return _tolerance_met(res, c, spec, f"nu_alpha (alpha = {alpha:g})")
 
 
+def _exponents(ws: np.ndarray):
+    """(c, log_r) for a 1-d array of finite nonzero arguments: c = ln|w|,
+    plus i*arg(w) if `ws` is complex or has an entry < 0; log_r = max ln|w|.
+    One argument takes libm's |w|, ln and arg (math, cmath); numpy's vector
+    loops differ from them in the last bit for some complex w."""
+    if ws.size == 1:
+        w = ws.item()
+        log_r = math.log(abs(w))
+        c = complex(log_r, cmath.phase(w)) if isinstance(w, complex) or w < 0 else log_r
+        return np.array([c]), log_r
+    abs_w = np.abs(ws)
+    c = np.log(abs_w)
+    if np.iscomplexobj(ws) or (ws < 0.0).any():
+        c = c + 1j * np.angle(ws)
+    return c, (math.log(float(abs_w.max())) if ws.size else 0.0)
+
+
+def _result(res: IntegrationResult, shape) -> IntegrationResult:
+    """Flat rows as a scalar argument's complex and float, else in `shape`."""
+    value, error = res.value, res.error_estimate
+    if not shape:
+        return IntegrationResult(complex(value[0]), float(error[0]), res.panel_count)
+    return IntegrationResult(value.reshape(shape), error.reshape(shape), res.panel_count)
+
+
 def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
-    """As nu_general, but returning the IntegrationResult with its error
-    accounting (value, error_estimate, panel_count)."""
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise DomainError(f"nu_general requires a finite argument, got {w}")
-    _check_domain(sf.params, abs(w))
-    if w == 0:
-        return IntegrationResult(0j, 0.0, 0)
-    log_r = math.log(abs(w))
-    res = _nu_integral(sf, log_r, np.array([complex(log_r, cmath.phase(w))]), spec)[0]
-    return IntegrationResult(complex(res.value[0]), float(res.error_estimate[0]), res.panel_count)
+    """nu_general and its error estimate at a scalar or an array `w`, as a
+    numpy ufunc takes it: one probe and panel tree, a relative budget per
+    argument, arrays shaped like `w` (a scalar is the one-row array, as a
+    complex and a float), 0 with error 0 at w = 0, and real exponents unless
+    w is complex or negative.  Raises, in this order and in the same words
+    for any shape: DomainError at the first non-finite w, DivergentFamily
+    when p > q + 1, DomainError at the first |w| >= 1 when p = q + 1."""
+    ws = np.asarray(w)
+    flat = ws.ravel()
+    finite = np.isfinite(flat)
+    if np.count_nonzero(finite) < flat.size:  # faster than .all() on a few entries
+        bad = flat[np.argmin(finite)].item()
+        raise DomainError(f"nu_general requires a finite argument, got {bad}")
+    abs_w = np.abs(flat)
+    _check_domain(sf.params, abs_w)
+    nz = abs_w != 0.0
+    c, log_r = _exponents(flat[nz])
+    res = _nu_integral(sf, log_r, c, spec)[0] if c.size else IntegrationResult(c, np.zeros(0), 0)
+    if c.size < flat.size:  # a zero argument gives 0 with error 0
+        value, error = np.zeros(flat.shape, c.dtype), np.zeros(flat.shape)
+        value[nz], error[nz] = res.value, res.error_estimate
+        res = IntegrationResult(value, error, res.panel_count)
+    return _result(res, ws.shape)
 
 
-def nu_general(sf: StructureFn, w, spec: QuadSpec) -> complex:
-    """Generalized nu: integral over E >= 0 of w^E / rho(E).
+def nu_general(sf: StructureFn, w, spec: QuadSpec):
+    """Generalized nu: integral over E >= 0 of w^E / rho(E), at a scalar
+    or an array of arguments, as nu_general_detailed.
 
     Complex w is handled on the principal branch of w^E; accuracy degrades
     gracefully as arg(w) approaches +/-pi (oscillatory integrand).
     """
-    return complex(nu_general_detailed(sf, w, spec).value)
+    return nu_general_detailed(sf, w, spec).value
 
 
-def nu(w, spec: QuadSpec) -> complex:
+def nu(w, spec: QuadSpec):
     """Volterra nu-function: integral over E >= 0 of w^E / Gamma(E+1)."""
     return nu_general(_SF_PLAIN, w, spec)
 
@@ -424,33 +464,33 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
     return shift + math.log(res.value[0])
 
 
-def _alpha_args(w, alpha):
-    w, alpha = float(w), float(alpha)
-    if not (w > 0.0) or not math.isfinite(w):
-        raise DomainError(f"nu_alpha requires w > 0, got {w!r}")
+def nu_alpha_detailed(w, alpha: float, spec: QuadSpec):
+    """nu_alpha and its error estimate at a scalar or an array `w`, as
+    nu_general_detailed (an array's values are real).  Raises DomainError at
+    the first w not finite and > 0, then at a non-finite alpha, alike for any shape."""
+    ws = np.asarray(w, dtype=float)
+    flat = ws.ravel()
+    ok = (flat > 0.0) & (flat < math.inf)
+    if np.count_nonzero(ok) < flat.size:
+        raise DomainError(f"nu_alpha requires w > 0, got {float(flat[np.argmin(ok)])!r}")
+    alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"nu_alpha requires finite alpha, got {alpha!r}")
-    return w, alpha
+    c, log_r = _exponents(flat)
+    res = _nu_alpha_integral(log_r, c, alpha, spec) if c.size else IntegrationResult(c, c, 0)
+    return _result(res, ws.shape)
 
 
-def nu_alpha_detailed(w: float, alpha: float, spec: QuadSpec):
-    """As nu_alpha, but returning the IntegrationResult with its error
-    accounting (value, error_estimate, panel_count)."""
-    w, alpha = _alpha_args(w, alpha)
-    log_w = math.log(w)
-    res = _nu_alpha_integral(log_w, np.array([log_w]), alpha, spec)
-    return IntegrationResult(complex(res.value[0]), float(res.error_estimate[0]), res.panel_count)
-
-
-def nu_alpha(w: float, alpha: float, spec: QuadSpec) -> float:
-    """Shifted nu: integral over E >= 0 of w^(alpha+E) / Gamma(alpha+E+1).
+def nu_alpha(w, alpha: float, spec: QuadSpec):
+    """Shifted nu: integral over E >= 0 of w^(alpha+E) / Gamma(alpha+E+1),
+    at a scalar or an array of arguments, as nu_alpha_detailed.
 
     Defined for real w > 0 and any real alpha.  For alpha <= -1 the
     reciprocal gamma factor has zeros at E = -alpha-1-k >= 0 and the
     integrand changes sign between them; panels are capped there so the
     sign lobes are resolved.
     """
-    return float(nu_alpha_detailed(w, alpha, spec).value.real)
+    return nu_alpha_detailed(w, alpha, spec).value.real
 
 
 def nu_on_circle(r: float, phases, sf: StructureFn, spec: QuadSpec):
@@ -459,63 +499,23 @@ def nu_on_circle(r: float, phases, sf: StructureFn, spec: QuadSpec):
     return nu_complex_grid(sf, [r], phases, spec)[0]
 
 
-def nu_general_batch_detailed(sf: StructureFn, ws, spec: QuadSpec) -> IntegrationResult:
-    """nu_general at an array of arguments on one probe and panel tree, each
-    held to its own relative budget: `value` and `error_estimate` are shaped
-    like `ws`.  A zero argument gives 0 with error 0; the exponents are real
-    unless an argument is complex or negative.  A NaN or infinite argument
-    raises first; then the first argument outside the domain raises, as
-    nu_general_detailed would on it."""
-    ws = np.asarray(ws)
-    bad = ws[~np.isfinite(ws)]
-    if bad.size:
-        raise DomainError(f"nu_general_batch_detailed requires finite arguments, got {bad[0]}")
-    abs_w = np.abs(ws)
-    if ws.size:
-        _check_domain(sf.params, float(abs_w.flat[np.argmax(abs_w >= 1.0)]))
-    nz = abs_w != 0.0
-    c = np.log(abs_w[nz])
-    if np.iscomplexobj(ws) or np.any(ws < 0.0):
-        c = c + 1j * np.angle(ws[nz])
-    value, error, panels = np.zeros(ws.shape, c.dtype), np.zeros(ws.shape), 0
-    if c.size:
-        res, _ = _nu_integral(sf, math.log(float(np.max(abs_w))), c, spec)
-        value[nz], error[nz], panels = res.value, res.error_estimate, res.panel_count
-    return IntegrationResult(value, error, panels)
-
-
-def nu_alpha_batch_detailed(ws, alpha: float, spec: QuadSpec) -> IntegrationResult:
-    """nu_alpha at an array of arguments, as nu_general_batch_detailed:
-    the first bad argument raises, as nu_alpha_detailed would on it."""
-    ws = np.asarray(ws, dtype=float)
-    if not ws.size:
-        return IntegrationResult(np.zeros(ws.shape), np.zeros(ws.shape), 0)
-    # Row 0 first: a bad alpha is reported there unless row 0 is bad.
-    _alpha_args(ws.flat[0], alpha)
-    alpha = _alpha_args(ws.flat[np.argmax(~(ws > 0.0) | ~np.isfinite(ws))], alpha)[1]
-    return _nu_alpha_integral(math.log(float(np.max(ws))), np.log(ws), alpha, spec)
-
-
 def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
-    """nu_general at real arguments >= 0: the values of
-    nu_general_batch_detailed, one panel tree with a budget per argument.
+    """nu_general_detailed's values at an array of real arguments >= 0.
     The nested identity checks pass it each outer panel's nodes at once."""
     ws = np.asarray(ws, dtype=float)
     if np.any(ws < 0.0) or np.any(~np.isfinite(ws)):
         raise DomainError("nu_positive_batch requires finite ws >= 0")
-    return np.real(nu_general_batch_detailed(sf, ws, spec).value)
+    return np.real(nu_general_detailed(sf, ws, spec).value)
 
 
 def nu_alpha_positive_batch(ws, alpha: float, spec: QuadSpec):
-    """nu_alpha at arguments > 0: the values of nu_alpha_batch_detailed,
-    one panel tree with a budget per argument."""
-    return nu_alpha_batch_detailed(ws, alpha, spec).value
+    """nu_alpha_detailed's values at an array of arguments > 0."""
+    return nu_alpha_detailed(ws, alpha, spec).value
 
 
 def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
-    """nu_general on the outer grid w[j,k] = moduli[j] * exp(i*phases[k]):
-    the values of nu_general_batch_detailed on that grid, one panel tree
-    with a budget per grid point.  Returns a complex array of shape
+    """nu_general_detailed's values on the outer grid
+    w[j,k] = moduli[j] * exp(i*phases[k]): a complex array of shape
     (len(moduli), len(phases)); rows with modulus 0 are exactly 0.
     """
     moduli = np.asarray(moduli, dtype=float)
@@ -524,7 +524,7 @@ def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
         raise DomainError("nu_complex_grid expects 1-d moduli and phases")
     if np.any(moduli < 0.0) or np.any(~np.isfinite(moduli)):
         raise DomainError("nu_complex_grid requires finite moduli >= 0")
-    return nu_general_batch_detailed(sf, moduli[:, None] * np.exp(1j * phases), spec).value
+    return nu_general_detailed(sf, moduli[:, None] * np.exp(1j * phases), spec).value
 
 
 def pfq_series(params: HyperParams, w) -> complex:

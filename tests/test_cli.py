@@ -250,6 +250,21 @@ def test_nu_alpha_table_rows_agree_with_one_argument_calls(capsys, alpha, ulps):
         assert _agrees(re_, im_, est, nu_alpha_detailed(x, float(alpha), SPEC), ulps)
 
 
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["nu", "--z", "1"], lambda: nu_general_detailed(StructureFn(HyperParams(0, 0)), 1.0, SPEC)),
+        (["nu-alpha", "--z", "1", "--alpha", "-2"], lambda: nu_alpha_detailed(1.0, -2.0, SPEC)),
+    ],
+    ids=["nu", "nu-alpha"],
+)
+def test_z_row_is_the_one_argument_call_bit_for_bit(capsys, argv, call):
+    # --z is a one-row table, and a single call is the one-row array.
+    (row,) = _table_rows(capsys, "eval", *argv)
+    res = call()
+    assert repr(row) == repr((1.0, res.value.real, res.value.imag, res.error_estimate))
+
+
 def test_table_with_zero_and_negative_rows(capsys):
     rows = _table_rows(capsys, "table", "nu", "--grid=-2:2:5")
     assert [r[0] for r in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import pathlib
+import random
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from nufunc.coherent import (
     transition_density,
 )
 from nufunc.doot import exp_argument_matrix_elements
-from nufunc.errors import DivergentFamily, DomainError, NonFinite, ToleranceNotMet
+from nufunc.errors import DivergentFamily, DomainError, NonFinite, NuFuncError, ToleranceNotMet
 from nufunc.identities import check_complex_gaussian, check_derivative_relation, check_laplace_nu
 from nufunc.nu import (
     HyperParams,
@@ -27,12 +28,10 @@ from nufunc.nu import (
     convergence_domain,
     nu,
     nu_alpha,
-    nu_alpha_batch_detailed,
     nu_alpha_detailed,
     nu_alpha_positive_batch,
     nu_complex_grid,
     nu_general,
-    nu_general_batch_detailed,
     nu_general_detailed,
     nu_general_log,
     nu_on_circle,
@@ -257,7 +256,7 @@ def test_alpha_batch_matches_scalar():
         for w, v in zip(ws, batch):
             assert v == pytest.approx(nu_alpha(float(w), alpha, SPEC), rel=1e-10)
     # An empty batch is an empty answer, as for the family evaluators.
-    empty = nu_alpha_batch_detailed([], 1.0, SPEC)
+    empty = nu_alpha_detailed([], 1.0, SPEC)
     assert empty.value.shape == empty.error_estimate.shape == (0,) and empty.panel_count == 0
     assert nu_alpha_positive_batch([], 1.0, SPEC).shape == (0,)
     assert nu_positive_batch(PLAIN, [], SPEC).shape == (0,)
@@ -284,7 +283,7 @@ BATCH_GRIDS = [
 )
 def test_general_batch_rows_agree_with_one_argument_calls(params, ws):
     sf = StructureFn(params)
-    res = nu_general_batch_detailed(sf, ws, SPEC)
+    res = nu_general_detailed(sf, ws, SPEC)
     assert res.value.shape == res.error_estimate.shape == ws.shape
     # Real exponents unless an argument is complex or negative.
     assert np.isrealobj(res.value) == (np.isrealobj(ws) and bool(np.all(ws >= 0.0)))
@@ -295,10 +294,68 @@ def test_general_batch_rows_agree_with_one_argument_calls(params, ws):
             assert _agrees(v, e, nu_general_detailed(sf, w, SPEC))
 
 
+def _outcome(call, *args):
+    """repr of a call's (value, error estimate), or its error's type and
+    text: equal reprs are equal bits."""
+    try:
+        res = call(*args)
+    except NuFuncError as exc:
+        return type(exc), str(exc)
+    if isinstance(res.value, np.ndarray):  # the one-row call
+        assert res.value.shape == res.error_estimate.shape == (1,)
+        return repr((complex(res.value[0]), float(res.error_estimate[0])))
+    assert type(res.value) is complex and type(res.error_estimate) is float
+    return repr((res.value, res.error_estimate))
+
+
+ONE_ROW_FAMILIES = [
+    StructureFn(HyperParams(0, 0)),
+    StructureFn(HyperParams(1, 1, (1.5,), (2.0,))),
+    StructureFn(HyperParams(1, 2, (1.5,), (2.0, 0.7))),
+    StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,))),
+]
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_single_call_is_the_one_row_call():
+    # A scalar argument gets exactly the one-row array's value and error
+    # estimate, or raises the same error with the same text.  300 draws over
+    # four families: real positive, negative and complex arguments, inside
+    # the unit disc for the (2,1) family.
+    rng = random.Random(5)
+    for i in range(300):
+        sf = ONE_ROW_FAMILIES[i % 4]
+        kind = rng.choice(("positive", "negative", "complex"))
+        if i % 4 == 3:
+            r = rng.uniform(0.01, 0.95)
+        else:
+            r = _log_uniform(rng, 0.01, 500.0 if kind == "positive" else 30.0)
+        if kind == "complex":
+            w = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+        else:
+            w = r if kind == "positive" else -r
+        assert _outcome(nu_general_detailed, sf, w, SPEC) == _outcome(
+            nu_general_detailed, sf, np.array([w]), SPEC
+        ), (sf.params, w)
+
+
+def test_single_alpha_call_is_the_one_row_call():
+    rng = random.Random(5)
+    for i in range(300):
+        alpha = (1.2, -0.3, -1.5, -2.0)[i % 4]
+        w = _log_uniform(rng, 0.05, 50.0)
+        assert _outcome(nu_alpha_detailed, w, alpha, SPEC) == _outcome(
+            nu_alpha_detailed, np.array([w]), alpha, SPEC
+        ), (w, alpha)
+
+
 @pytest.mark.parametrize("alpha", [1.2, -0.3, -1.5, -2.0])
 def test_alpha_batch_rows_agree_with_one_argument_calls(alpha):
     ws = np.geomspace(0.4, 3.5, 12)
-    res = nu_alpha_batch_detailed(ws, alpha, SPEC)
+    res = nu_alpha_detailed(ws, alpha, SPEC)
     assert np.isrealobj(res.value) and res.error_estimate.shape == ws.shape
     for w, v, e in zip(ws, res.value, res.error_estimate):
         assert _agrees(v, e, nu_alpha_detailed(w, alpha, SPEC))
@@ -310,13 +367,13 @@ def test_alpha_batch_rows_agree_with_one_argument_calls(alpha):
 # batch carries one panel; a single argument's level is one call.
 HOISTED_TERMS = {
     "nu": (
-        lambda: nu_general_batch_detailed(PLAIN, np.geomspace(1e-3, 300.0, 720), SPEC),
+        lambda: nu_general_detailed(PLAIN, np.geomspace(1e-3, 300.0, 720), SPEC),
         StructureFn, "log_rho_continuous", 2, True,
     ),
     # 1/Gamma(E - 0.5) changes sign at E = 0.5; the panels, 0.5 wide up to
     # E = 2.5, pass at once.
     "nu_alpha": (
-        lambda: nu_alpha_batch_detailed(np.geomspace(1.5, 2.5, 720), -1.5, SPEC),
+        lambda: nu_alpha_detailed(np.geomspace(1.5, 2.5, 720), -1.5, SPEC),
         NU_MODULE, "reciprocal_gamma_log_signed", 1, True,
     ),
     # The single evaluators run one row; at w = 500 four panels fail.
@@ -401,7 +458,7 @@ def _captured_integrand(call, monkeypatch):
 
 @pytest.mark.parametrize("ws", [[1e-30, 5.0], [1e-30 * cmath.exp(1j), 5.0]], ids=["real", "complex"])
 def test_nu_integrand_flushes_exponents_below_ln_dbl_min(ws, monkeypatch):
-    f, _ = _captured_integrand(lambda: nu_general_batch_detailed(PLAIN, np.array(ws), SPEC), monkeypatch)
+    f, _ = _captured_integrand(lambda: nu_general_detailed(PLAIN, np.array(ws), SPEC), monkeypatch)
     c = np.log(np.abs(ws)) + 1j * np.angle(ws) if np.iscomplexobj(ws) else np.log(ws)
     # exp of a real exponent is non-negative, and only then does f say so.
     assert f.nonnegative == (not np.iscomplexobj(ws))
@@ -469,36 +526,47 @@ def _error_text(call, *args):
 def test_batches_raise_the_first_bad_rows_error():
     disc = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
     ws = np.array([0.5, -0.9, -1.25, 3.0])
-    assert _error_text(nu_general_batch_detailed, disc, ws, SPEC) == _error_text(
+    assert _error_text(nu_general_detailed, disc, ws, SPEC) == _error_text(
         nu_general_detailed, disc, -1.25, SPEC
-    )
+    ) == (DomainError, "family (p=2, q=1) converges only for |w| < 1; got |w| = 1.25")
     divergent = StructureFn(HyperParams(2, 0, (1.0, 1.0)))
     with pytest.raises(DivergentFamily):
-        nu_general_batch_detailed(divergent, np.array([0.0, 0.5]), SPEC)
-    # A bad alpha is reported on the first row, unless that row is bad itself.
+        nu_general_detailed(divergent, np.array([0.0, 0.5]), SPEC)
+    # A non-finite argument is named before the family.
+    assert _error_text(nu_general_detailed, divergent, np.array([0.5, math.nan]), SPEC) == (
+        DomainError, "nu_general requires a finite argument, got nan"
+    )
+    # The first bad argument is reported; alpha only when every argument is good.
     for ws, alpha, first_bad in [
         ([1.0, 0.0, -1.0], 1.0, (0.0, 1.0)),
         ([2.0, math.inf], 1.0, (math.inf, 1.0)),
-        ([1.0, 0.0], math.nan, (1.0, math.nan)),
+        ([1.0, 0.0], math.nan, (0.0, math.nan)),
         ([0.0, 1.0], math.nan, (0.0, math.nan)),
+        ([1.0, 2.0], math.nan, (1.0, math.nan)),
     ]:
-        assert _error_text(nu_alpha_batch_detailed, np.array(ws), alpha, SPEC) == _error_text(
+        assert _error_text(nu_alpha_detailed, np.array(ws), alpha, SPEC) == _error_text(
             nu_alpha_detailed, *first_bad, SPEC
         )
+    assert _error_text(nu_alpha_detailed, [1.0, 0.0], math.nan, SPEC) == (
+        DomainError, "nu_alpha requires w > 0, got 0.0"
+    )
+    assert _error_text(nu_alpha_detailed, [1.0, 2.0], math.nan, SPEC) == (
+        DomainError, "nu_alpha requires finite alpha, got nan"
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
 def test_non_finite_arguments_are_named_before_the_probe(bad):
     disc = StructureFn(HyperParams(2, 1, (1.5, 0.8), (2.0,)))
+    # One text, whatever the shape of the argument.
     for sf in (PLAIN, disc):
-        with pytest.raises(DomainError) as exc:
-            nu_general_detailed(sf, bad, SPEC)
-        assert str(exc.value) == f"nu_general requires a finite argument, got {complex(bad)}"
-        with pytest.raises(DomainError) as exc:
-            nu_general_batch_detailed(sf, np.array([0.5, bad, 2.0]), SPEC)
-        assert str(exc.value).startswith("nu_general_batch_detailed requires finite arguments, got ")
-    with pytest.raises(DomainError, match="requires finite arguments"):
+        for arg in (bad, np.array([bad]), np.array([0.5, bad, 2.0])):
+            with pytest.raises(DomainError) as exc:
+                nu_general_detailed(sf, arg, SPEC)
+            assert str(exc.value) == f"nu_general requires a finite argument, got {bad}"
+    with pytest.raises(DomainError) as exc:
         nu_complex_grid(PLAIN, [1.0], [0.5, math.nan], SPEC)
+    assert str(exc.value) == "nu_general requires a finite argument, got (nan+nanj)"
     # The series, the coherent kernels built on it and the planar check
     # name the argument too, where they used to sum 10 000 terms or return NaN.
     with pytest.raises(DomainError, match=r"^pfq_series requires a finite argument, got"):

@@ -3,14 +3,19 @@
 `Tracer.install` resolves each `TARGETS` entry with `getattr` and wraps every
 module attribute bound to it, so a deleted name breaks `--trace 1` and an
 aliased one is wrapped twice, counting its calls twice.  The warm-up calls
-`nufunc.<name>` directly.  These tests pin both lists to the library.
+`nufunc.<name>` directly.  These tests pin both lists to the library, and
+run one round of each workload through the harness's own executor and
+checks.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+
+import pytest
 
 import nufunc
 from nufunc.nu import StructureFn
@@ -63,3 +68,21 @@ def test_warmup_names_resolve():
             obj = getattr(obj, part)
         # nufunc.cli, the prefix of nufunc.cli.main, is a module.
         assert callable(obj) or inspect.ismodule(obj), "nufunc." + ".".join(chain)
+
+
+@pytest.mark.parametrize("workload", ["point_mix", "cli_tables", "nested_suite", "planar_gaussian"])
+def test_one_round_passes_the_benchmark_checks(workload, monkeypatch):
+    # The run's own path: warm-up, one seed-1 round through its executor,
+    # then its oracle checks.  run.py pins BLAS threads in os.environ when
+    # imported; a copy keeps that out of this process.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run, warmup, workloads, checks = (_load(name) for name in ("run", "warmup", "workloads", "checks"))
+    ops = workloads.BUILDERS[workload](1)
+    warmup.warm_up(workload)
+    execute = run.Executor(nufunc)
+    execute.prepare(ops)
+    outputs = [execute(op) for op in ops]
+    failed, problems = checks.check_round(ops, outputs)
+    assert problems == []
+    assert [(i, outputs[i]) for i in failed if not ops[i].get("known_fault")] == []

@@ -416,19 +416,20 @@ def _integrand_calls_per_level(call):
 def test_nu_of_one_makes_few_integrand_calls(capsys):
     # Every coarse panel of nu(1) passes its test, and they share one call.
     assert [len(calls) for calls in _integrand_calls_per_level(lambda: nu(1.0, SPEC))] == [1]
-    # A batched tree's first level is sized by its complex rows, with no
-    # one-panel measuring call: each call carries as many panels as the
-    # byte bound allows, so a 3-row overlap makes one call and a 30-row
-    # table two full calls for its 16 coarse panels.
+    # A batched tree's first level is sized by its rows' bytes (16 for a
+    # complex row, 8 for a real one), with no one-panel measuring call:
+    # each call carries as many panels as the byte bound allows, so a 3-row
+    # overlap makes one call and a 60-row real table two full calls for
+    # its 16 coarse panels.
     plain = StructureFn(HyperParams(0, 0))
-    for call, rows, n_calls in (
-        (lambda: overlap_continuous(plain, 0.5, 0.2 + 0.1j, SPEC), 3, 1),
-        (lambda: cli_main(["table", "nu", "--grid", "0.1:10:30:log"]), 30, 2),
+    for call, node_bytes, n_calls in (
+        (lambda: overlap_continuous(plain, 0.5, 0.2 + 0.1j, SPEC), 16 * 3, 1),
+        (lambda: cli_main(["table", "nu", "--grid", "0.1:10:60:log"]), 8 * 60, 2),
     ):
         first = _integrand_calls_per_level(call)[0]
-        full = _KRONROD_NODES.size * _per_call(16 * rows)
+        full = _KRONROD_NODES.size * _per_call(node_bytes)
         assert len(first) == n_calls and first[:-1] == [full] * (n_calls - 1) and first[-1] <= full
-    assert len(capsys.readouterr().out.splitlines()) == 31
+    assert len(capsys.readouterr().out.splitlines()) == 61
 
 
 def test_scalar_entry_rejects_wide_integrands():
