@@ -10,6 +10,12 @@ accepted value is K31, and the final sum runs over panels sorted by
 interval start so results are bit-for-bit reproducible regardless of
 evaluation order.  The scalar and the vector entry return `IntegrationResult`.
 
+The coarse panels hold a static ladder toward the origin, boundaries T/2,
+..., T/2^rungs.  The caller sets `rungs`: the default 12 grades toward a
+singular origin, such as the 1/ln(1/t) of a nested identity's outer
+integrand; the 4.23 check, whose integrand is entire in both exponents,
+asks for 6 and makes a third of the inner integrand values.
+
 Refinement is breadth-first.  Each level evaluates every open panel once,
 at its 31 nodes, and the whole level shares integrand calls.  A failing
 panel bisects, except that a failing panel [0, 2h] splits its left half
@@ -83,7 +89,8 @@ _MAX_DEPTH = 60
 # rel_tol times it underflows.
 _ABS_FLOOR = 1e-300
 # Halvings of the geometric ladders toward E = 0: the coarse boundaries hold
-# T/2, ..., T/2^12, and a failing origin panel's left half gets 13 rungs.
+# T/2, ..., T/2^12 unless the caller sets `rungs`, and a failing origin
+# panel's left half gets 13 rungs.
 _LADDER = 12
 # Halvings from that left half to each rung, bottom rung first.
 _RUNG_DEPTHS = np.minimum(np.arange(_LADDER + 1, 0, -1), _LADDER)
@@ -332,12 +339,12 @@ def _panel_values(f, a, b, per_call):
     return half * sums[:, 0], half * sums[:, 1], half * moduli
 
 
-def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf):
+def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf, rungs=_LADDER):
     T = probe.truncation_point
     pts = {0.0, T}
     # Geometric ladder toward zero picks up sharply-varying behavior there.
     step = T
-    for _ in range(_LADDER):
+    for _ in range(rungs):
         step *= 0.5
         pts.add(step)
     pk = probe.peak_location
@@ -371,15 +378,18 @@ def _per_call(node_bytes):
     return max(_CALL_BYTES // (_KRONROD_NODES.size * node_bytes), 1)
 
 
-def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, cap_end=math.inf):
+def _integrate_adaptive(
+    f, probe, spec, max_panel_width=None, node_bytes=None, cap_end=math.inf, rungs=_LADDER
+):
     """Core adaptive engine over [0, probe.truncation_point].
 
     Returns the `IntegrationResult` of every component at once.
     `node_bytes`, when given, sizes the first level's calls; otherwise a
     call on one coarse panel alone measures it.  `max_panel_width` caps the
-    coarse panels that start left of `cap_end`.
+    coarse panels that start left of `cap_end`.  `rungs` is the number of
+    coarse boundaries T/2, ..., T/2^rungs toward the origin.
     """
-    bounds = np.array(_initial_boundaries(probe, max_panel_width, cap_end))
+    bounds = np.array(_initial_boundaries(probe, max_panel_width, cap_end, rungs))
     lo, hi = bounds[:-1], bounds[1:]
     T = probe.truncation_point
     per_call = None if node_bytes is None else _per_call(node_bytes)
@@ -443,8 +453,8 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
             depth = np.repeat(depth[split] + 1, 2)
             if ladder:
                 # The origin panel's left half [0, h] becomes the rungs.
-                rungs = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
-                lo, hi = np.concatenate([[0.0], rungs[:-1], lo[1:]]), np.concatenate([rungs, hi[1:]])
+                tops = hi[0] * 0.5 ** np.arange(_LADDER, -1, -1)
+                lo, hi = np.concatenate([[0.0], tops[:-1], lo[1:]]), np.concatenate([tops, hi[1:]])
                 depth = np.concatenate([depth[0] + _RUNG_DEPTHS, depth[1:]])
 
         # The coarse level is in order of position; several levels are sorted.
@@ -469,10 +479,12 @@ def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, c
     return IntegrationResult(total, err_total, starts.size)
 
 
-def integrate_semi_infinite_detailed(f, probe: IntegrandProbe, spec: QuadSpec) -> IntegrationResult:
+def integrate_semi_infinite_detailed(
+    f, probe: IntegrandProbe, spec: QuadSpec, rungs=_LADDER
+) -> IntegrationResult:
     """Integrate a scalar f over [0, inf), truncated per `probe`, to
     spec.rel_tol.  `f` maps a numpy array of nodes to the matching array of
-    (possibly complex) values.
+    (possibly complex) values; `rungs` coarse boundaries halve toward 0.
 
     Raises DomainError when `f` returns other than one value per node.
     """
@@ -486,17 +498,17 @@ def integrate_semi_infinite_detailed(f, probe: IntegrandProbe, spec: QuadSpec) -
             )
         return y
 
-    res = _integrate_adaptive(scalar, probe, spec, node_bytes=_SCALAR_NODE_BYTES)
+    res = _integrate_adaptive(scalar, probe, spec, node_bytes=_SCALAR_NODE_BYTES, rungs=rungs)
     return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 
 def integrate_vector_semi_infinite(
-    f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None
+    f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None, rungs=_LADDER
 ):
     """As the scalar entry, for an f that maps nodes (n,) to values (n, m):
     one panel tree serves every component, each held to its own budget.
     `node_bytes`, f's output bytes per node if known, sizes the first level."""
-    return _integrate_adaptive(f, probe, spec, max_panel_width, node_bytes, cap_end)
+    return _integrate_adaptive(f, probe, spec, max_panel_width, node_bytes, cap_end, rungs)
 
 
 def integrate_polar_2d(g, spec: QuadSpec) -> complex:

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from nufunc import (
     run_suite,
     suite_passed,
 )
+from nufunc import identities
 from nufunc.identities import _REGISTRY, _angular_kernel, _sinc_kernel
 
 SPEC = QuadSpec()
@@ -181,6 +183,15 @@ def test_planar_gaussian_check_rejects_large_modulus():
         check_complex_gaussian(1.5, 0.5)
 
 
+@pytest.mark.parametrize("x, y", [(5e-324, 5e-324), (1e-200, -1e-200), (1e-170j, 1e-170)])
+def test_planar_gaussian_check_rejects_an_underflowed_product(x, y):
+    # nu(x*y) ~ 1/ln(1/|xy|) is about 1e-3 here, and nu(0) = 0 is not it.
+    assert x * y == 0.0
+    message = f"underflows to 0 at x={complex(x)!r}, y={complex(y)!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_complex_gaussian(x, y)
+
+
 def _phase_average(g, E, F):
     # (1/2pi) * integral over phi of the principal phases of (x z)^E and
     # (y conj z)^F, with arg x = arg y = g/2, split at both branch points.
@@ -224,11 +235,58 @@ def test_sinc_kernel_is_the_real_part_of_the_angular_kernel_at_zero():
             assert (real == 1.0).all() and (full.real == 1.0).all()
 
 
+# Left sides of 4.23 on twelve coarse rungs toward E = 0: the two real
+# labels with the np.sinc kernel, before the separable one; the rest across
+# the label domain (negative and complex labels take the angular kernel,
+# |x| = |y| = 1 the widest truncation point).
+_PINNED_LEFT_SIDES = {
+    (0.3, 0.5): 0.438211140525897,
+    (0.5, 0.5): 0.5997314478387921,
+    (0.9, 0.2): 0.4934124430866123,
+    (-0.3, 0.5): -0.055487273247467855,
+    (-0.4, -0.6): 0.5841714430920293,
+    (0.3 + 0.2j, 0.5): 0.4208827011765063 + 0.15428752157004463j,
+    (0.2j, 0.6j): -0.038577954940653796,
+    (1.0, 1.0): 2.154908901992299,
+    (-1.0, 1j): -0.13803338176304294 - 0.9864224493372004j,
+    (1e-8, 0.5): 0.02682065017211103,
+    (1e-8, 1e-8): 0.002995134887539597,
+    (0.3 + 0.4j, 0.6 - 0.2j): 0.583098826089751 + 0.2779299341704132j,
+}
+
+
 def test_planar_left_side_keeps_its_value_under_the_separable_kernel():
-    # Left sides with the np.sinc kernel, before the separable one.
-    for (x, y), before in (((0.3, 0.5), 0.438211140525897), ((0.5, 0.5), 0.5997314478387921)):
+    for (x, y), before in _PINNED_LEFT_SIDES.items():
         lhs = check_complex_gaussian(x, y).lhs
-        assert lhs.imag == 0.0 and abs(lhs.real - before) <= 1e-13 * before
+        assert abs(lhs - before) <= 1e-13 * abs(before), (x, y)
+        if isinstance(before, float):
+            assert lhs.imag == 0.0, (x, y)
+
+
+def test_planar_left_side_makes_few_integrand_values(monkeypatch):
+    # Outer nodes, and inner values (F nodes times outer-node columns), of
+    # the registered case.  Its integrand is entire in E and F, so six
+    # coarse rungs toward 0 serve where twelve made 403 and 187 395.
+    counts = {"outer": 0, "inner": 0}
+
+    def count(name, key):
+        entry = getattr(identities, name)
+
+        def run(f, *args, **kwargs):
+            def g(x):
+                y = f(x)
+                counts[key] += y.size
+                return y
+
+            return entry(g, *args, **kwargs)
+
+        monkeypatch.setattr(identities, name, run)
+
+    count("integrate_semi_infinite_detailed", "outer")
+    count("integrate_vector_semi_infinite", "inner")
+    lhs = check_complex_gaussian(0.3, 0.5).lhs
+    assert lhs == 0.43821114052589694
+    assert counts["outer"] <= 217 and counts["inner"] <= 65_000, counts
 
 
 def test_sinc_kernel_is_within_2e_14_of_np_sinc():

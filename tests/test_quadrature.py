@@ -209,7 +209,7 @@ def test_endpoint_log_singularity_is_absorbed():
 # ---------------------------------------------------------------------------
 
 
-def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf):
+def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf, rungs=_LADDER):
     """The depth-first engine: one integrand call per panel at its 31
     Kronrod nodes, recursing on a failing panel's halves before moving to
     the next, and on the rungs of a failing origin panel's ladder.  Kept as
@@ -225,7 +225,7 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf):
         modulus = half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))
         return kronrod, np.maximum(np.abs(kronrod - gauss), EPS * modulus)
 
-    bounds = _initial_boundaries(probe, max_panel_width, cap_end)
+    bounds = _initial_boundaries(probe, max_panel_width, cap_end, rungs)
     coarse = [panel(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     scale = np.abs(coarse[0][0])
     for c, _ in coarse[1:]:
@@ -264,6 +264,13 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf):
         total = total + v
         err_total = err_total + e
     return total, err_total, len(accepted)
+
+
+def _inverse_log(t):
+    # 1/ln(1/t) near 0, as nu(t) is: its derivative 1/(t ln(t)^2) is
+    # unbounded at 0, and beyond 1 it is cut smoothly by e^(1-t).
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 1.0, 1.0 / (1.0 - np.log(t)), np.exp(1.0 - t))
 
 
 def _bump(t):
@@ -313,7 +320,14 @@ _ENGINE_CASES = {
         math.inf,
     ),
     "bump": lambda: (_bump, _EXP_PROBE, None, math.inf),
+    "inverse-log-short-ladder": lambda: (
+        _inverse_log, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None,
+        math.inf,
+    ),
 }
+# Cases run on fewer coarse rungs toward 0 than the engine's default: the
+# failing origin panel [0, 250/8] grows the dynamic ladder on top of them.
+_CASE_RUNGS = {"inverse-log-short-ladder": 3}
 # Single evaluator calls whose engine call is a case.  nu_alpha(2, -1.5)
 # caps its panels left of its cap end: 20 coarse panels, all accepted on
 # the first level, where capping them all would make 179.
@@ -330,8 +344,9 @@ _ENGINE_CASES.update(
 @pytest.mark.parametrize("name", list(_ENGINE_CASES))
 def test_breadth_first_engine_matches_depth_first_reference(name):
     f, probe, width, cap_end = _ENGINE_CASES[name]()
-    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end)
-    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end)
+    rungs = _CASE_RUNGS.get(name, _LADDER)
+    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end, rungs=rungs)
+    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end, rungs=rungs)
     for g, r in zip((got.value, got.error_estimate), ref[:2]):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
@@ -343,7 +358,7 @@ def test_breadth_first_engine_matches_depth_first_reference(name):
     if np.ndim(ref[0]) == 0 and width is None:
         # The scalar entry (which has no panel cap) sizes its first calls
         # differently, not its sums.
-        res = integrate_semi_infinite_detailed(f, probe, SPEC)
+        res = integrate_semi_infinite_detailed(f, probe, SPEC, rungs=rungs)
         assert np.complex128(res.value).tobytes() == np.complex128(ref[0]).tobytes()
         assert np.float64(res.error_estimate).tobytes() == np.float64(ref[1]).tobytes()
         assert res.panel_count == ref[2]
