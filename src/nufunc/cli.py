@@ -42,6 +42,8 @@ __all__ = ["main"]
 
 # Rows of a table per probe and panel tree, whose arrays grow with the rows.
 _ROWS_PER_TREE = 64
+# Rows of a grid, checked before any is made.
+_MAX_GRID = 100_000
 
 
 def _fmt(v: float) -> str:
@@ -67,8 +69,8 @@ def _parse_grid(text: str):
     count = int(parts[2])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("grid endpoints must be finite")
-    if count < 1:
-        raise ValueError("grid count must be >= 1")
+    if not 1 <= count <= _MAX_GRID:
+        raise ValueError(f"grid count must be between 1 and {_MAX_GRID}, got {count}")
     log_scale = False
     if len(parts) == 4:
         if parts[3] != "log":
@@ -179,6 +181,8 @@ def _eval_rows(args, parser) -> list:
         if args.zsq is None:
             parser.error("--zsq is required for 'poisson'")
         for n_val in inputs(args.n, "--n"):
+            if not math.isfinite(n_val):
+                raise ValueError(f"--n must be finite, got {n_val}")
             n_int = int(round(float(n_val)))
             v = poisson_density_discrete(float(args.zsq), n_int)
             rows.append((float(n_int), v, 0.0, 0.0))
@@ -192,6 +196,8 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.tol is not None and not args.tol >= 0.0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     reports = run_suite(filter=args.filter, spec=QuadSpec(), tol=args.tol)
     _emit(reports_to_json(reports), args.out)
     return 0 if suite_passed(reports) else 1

@@ -30,9 +30,7 @@ from .nu import (
     StructureFn,
     _integer,
     nu_alpha,
-    nu_alpha_positive_batch,
     nu_general,
-    nu_positive_batch,
 )
 from .quadrature import (
     IntegrandProbe,
@@ -194,7 +192,7 @@ def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None =
             "integral of a positive function cannot)"
         )
     # t = u/s turns the transform into 4.18's integral at scale s, over s.
-    res = _weighted_lhs(_PLAIN, s, spec, lambda u: nu_positive_batch(_PLAIN, u / s, spec), name="s")
+    res = _weighted_lhs(_PLAIN, s, spec, lambda u: nu_general(_PLAIN, u / s, spec).real, name="s")
     lhs = complex(res.value).real / s
     rhs = 1.0 / (s * math.log(s))
     description = (
@@ -214,7 +212,7 @@ def check_weighted_nu_integral(
     x = float(x)
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"weighted integral requires x > 1, got x={x!r}")
-    res = _weighted_lhs(sf, x, spec, lambda t: nu_positive_batch(sf, t / x, spec))
+    res = _weighted_lhs(sf, x, spec, lambda t: nu_general(sf, t / x, spec).real)
     lhs = complex(res.value).real
     log_norm = sum(math.lgamma(bj) for bj in sf.params.b) - sum(
         math.lgamma(ai) for ai in sf.params.a
@@ -248,7 +246,7 @@ def check_eq_4_20(
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"power-weighted integral requires x > 1, got x={x!r}")
     sf = StructureFn(HyperParams(1, 1, (1.0,), (b + 1.0,)))
-    res = _weighted_lhs(sf, x, spec, lambda t: nu_positive_batch(sf, t / x, spec))
+    res = _weighted_lhs(sf, x, spec, lambda t: nu_general(sf, t / x, spec).real)
     lhs_norm = complex(res.value).real
     gamma_b1 = math.gamma(b + 1.0)
     lhs_unnorm = lhs_norm / gamma_b1
@@ -300,7 +298,7 @@ def check_eq_4_22(
 
     # Left side: outer t-integral with the batched two-argument nu.
     res = _weighted_lhs(
-        sf, C, spec, lambda t: nu_alpha_positive_batch(t / C, alpha, spec), max(alpha, 0.0)
+        sf, C, spec, lambda t: nu_alpha(t / C, alpha, spec), max(alpha, 0.0)
     )
     lhs = complex(res.value).real
 
@@ -435,7 +433,7 @@ def check_derivative_relation(
         raise DomainError(f"derivative check requires z > 0, got z={z!r}")
     tol = (1e-5 if n == 1 else 1e-4) if tol is None else float(tol)
     h = 4e-3 * min(z, 1.0)
-    values = nu_positive_batch(_PLAIN, z + h * np.arange(-2.0, 3.0), spec)
+    values = nu_general(_PLAIN, z + h * np.arange(-2.0, 3.0), spec).real
     # (4 D(h) - D(2h)) / 3 for the central differences D at steps h and 2h.
     weights = (1.0, -8.0, 0.0, 8.0, -1.0) if n == 1 else (-1.0, 16.0, -30.0, 16.0, -1.0)
     lhs = float(np.dot(weights, values)) / (12.0 * h**n)
@@ -471,7 +469,7 @@ def check_formal_series_4_21(
 
     # exp(-s*t) <= 1 keeps the inner nu bounded: the scale is infinite.
     res = _weighted_lhs(
-        _PLAIN, math.inf, spec, lambda t: nu_positive_batch(_PLAIN, np.exp(-s * t), spec)
+        _PLAIN, math.inf, spec, lambda t: nu_general(_PLAIN, np.exp(-s * t), spec).real
     )
     lhs = complex(res.value).real
 

@@ -14,6 +14,10 @@ divergent for p > q + 1 (rho decays superexponentially); `convergence_domain`
 names the case 'entire', 'unit_disc' or 'divergent'.  All rho evaluation
 happens in log space; rho is positive, so ln rho is a plain float.  rho
 itself overflows double precision near E ~ 170.
+
+nu, nu_general_log and nu_alpha (the nu integral with its exponent moved
+by a) share one integral core, `_nu_integral`.  The library calls the two
+detailed evaluators; the four value-only views are kept for the benchmark.
 """
 
 from __future__ import annotations
@@ -300,87 +304,49 @@ def _flushed_exp(x):
     return x
 
 
-def _tolerance_met(res: IntegrationResult, c, spec: QuadSpec, name: str) -> IntegrationResult:
-    """`res`, or ToleranceNotMet at the first w whose error estimate exceeds
-    rel_tol*|value|, as a cancelling integrand's (w < 0 or complex) can."""
+def _nu_integral(probe, terms, c: np.ndarray, ws, spec: QuadSpec, name: str, alpha=0.0, shift=0.0):
+    """Integral over E >= 0 of exp(c*(alpha+E) + L(E) - shift) * sigma(E)
+    for the exponents c = ln|w| + i*arg(w) of a 1-d array of arguments `ws`,
+    all on one panel tree.  `terms(E)` gives the node terms: (L,) = (-ln rho,)
+    for a family (alpha 0, sigma 1), or reciprocal_gamma_log_signed(alpha+E+1)
+    = (L, sigma) for nu_alpha.  `shift` is nu_general_log's peak log value.
+    Panels are capped at 6 / max|Im c| to resolve the oscillation, or else,
+    when alpha <= -1/2, at 0.5 left of max(-alpha-1, 0) + 2, where 1/Gamma
+    changes sign.  ToleranceNotMet, led by `name`, names the first of `ws`
+    whose error estimate exceeds rel_tol*|value|, as a cancelling integrand's can.
+    """
+
+    # Called with the nodes alone, as a tracer's wrapper does, f evaluates its terms.
+    def f(E, *t):
+        E = np.asarray(E, dtype=float)
+        log_abs, *sign = t or terms(E)
+        # At a zero of 1/Gamma, log_abs is -inf: exp gives 0, times sign 0 is +0.0.
+        x = (alpha + E if alpha else E)[:, None] * c  # a family skips 0 + E
+        x += log_abs[:, None]
+        if shift:
+            x -= shift
+        _flushed_exp(x)
+        if alpha <= -1.0:  # above, every sign of 1/Gamma(alpha+E+1) is +1
+            x *= sign[0][:, None]
+        return x
+
+    # The engine evaluates the node terms once per level, not once per call.
+    f.node_terms = terms
+    # exp of a real exponent is >= 0, and so is 1/Gamma(alpha+E+1) for alpha > -1.
+    f.nonnegative = alpha > -1.0 and not np.iscomplexobj(c)
+    max_im = float(np.max(np.abs(c.imag))) if np.iscomplexobj(c) else 0.0
+    if max_im > 1e-9:
+        max_width, cap_end = 6.0 / max_im, math.inf
+    else:
+        max_width, cap_end = (0.5 if alpha <= -0.5 else None), max(-alpha - 1.0, 0.0) + 2.0
+    res = integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
     miss = res.error_estimate > spec.rel_tol * np.abs(res.value)
     if np.count_nonzero(miss):
         k = int(np.argmax(miss))
-        w, err, val = complex(np.exp(c[k])), res.error_estimate[k], abs(res.value[k])
+        w, err, val = ws[k], res.error_estimate[k], abs(res.value[k])
         msg = f"{name} at w = {w:.6g} misses rel_tol {spec.rel_tol:g}: error estimate {err:.3g}"
         raise ToleranceNotMet(f"{msg} against |value| {val:.3g}", res.value, res.error_estimate)
     return res
-
-
-def _nu_integral(sf: StructureFn, log_r: float, c: np.ndarray, spec: QuadSpec, scaled=False):
-    """Integral over E >= 0 of exp(c*E) / rho(E) for a 1-d array of exponents
-    c = ln|w| + i*arg(w), all on one panel tree; a single argument is a
-    one-element array.
-
-    The Newton probe (`_nu_probe`, with `locate_peak` as its fallback) runs
-    at `log_r`, the largest ln|w|; panels are capped at 6 / max|Im c| to
-    resolve the oscillation.  With `scaled` the integrand is divided by
-    exp(peak log value).  Returns (result, log_scale) with
-    integral = exp(log_scale) * result.value.
-    """
-    probe = _nu_probe(sf, log_r)
-    shift = probe.peak_log_value if scaled else 0.0
-
-    # Called with the nodes alone, as a tracer's wrapper does, f evaluates ln rho.
-    def f(E, log_rho=None):
-        E = np.asarray(E, dtype=float)
-        x = E[:, None] * c
-        x -= (sf.log_rho_continuous(E) if log_rho is None else log_rho)[:, None]
-        if scaled:
-            x -= shift
-        return _flushed_exp(x)
-
-    # The engine evaluates ln rho once per level, not once per call.
-    f.node_terms = lambda E: (sf.log_rho_continuous(E),)
-    f.nonnegative = not np.iscomplexobj(c)  # exp of a real exponent is >= 0
-    max_im = float(np.max(np.abs(np.imag(c))))
-    max_width = 6.0 / max_im if max_im > 1e-9 else None
-    res = integrate_vector_semi_infinite(f, probe, spec, max_width, node_bytes=c.nbytes)
-    return _tolerance_met(res, c, spec, "nu"), shift
-
-
-def _nu_alpha_integral(log_r: float, c: np.ndarray, alpha: float, spec: QuadSpec):
-    """Integral over E >= 0 of exp(c*(alpha+E)) / Gamma(alpha+E+1) for a
-    1-d array of exponents c = ln w on one panel tree; `log_r` is the
-    largest ln w.  Right of E0 = max(0, -alpha - 1/2), past the last zero of
-    1/Gamma, the log-modulus at `log_r` is the concave (1,1; 1; b) family's
-    at E - E0, b = alpha + 1 + E0, plus (alpha + E0)*log_r - ln Gamma(b), so
-    that family's `_nu_probe`, moved right by E0 and up by that constant, is
-    the probe.  Left of E0 the log-modulus may rise above the probe's peak
-    value; the truncation point then lies even further below the maximum."""
-
-    # Called with the nodes alone, as a tracer's wrapper does, f evaluates 1/Gamma.
-    def f(E, log_abs=None, sign=None):
-        E = np.asarray(E, dtype=float)
-        if log_abs is None:
-            log_abs, sign = reciprocal_gamma_log_signed(alpha + E + 1.0)
-        # At a zero of 1/Gamma, log_abs is -inf: exp gives 0, times sign 0 is +0.0.
-        x = (alpha + E)[:, None] * c
-        x += log_abs[:, None]
-        _flushed_exp(x)
-        if alpha <= -1.0:  # above, every sign is +1
-            x *= sign[:, None]
-        return x
-
-    f.node_terms = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)
-    f.nonnegative = alpha > -1.0  # then 1/Gamma(alpha+E+1) > 0 for all E >= 0
-
-    E0 = max(-alpha - 0.5, 0.0)
-    b = alpha + 1.0 + E0
-    p = _nu_probe(StructureFn(HyperParams(1, 1, (1.0,), (b,))), log_r)
-    shift = (alpha + E0) * log_r - _log_gamma_scalar(b)
-    probe = IntegrandProbe(p.peak_location + E0, p.truncation_point + E0, p.peak_log_value + shift)
-    # 1/Gamma(alpha+E+1) changes sign only left of -alpha-1; panels there
-    # and 2 beyond are capped so the sign lobes are resolved.
-    max_width = 0.5 if alpha <= -0.5 else None
-    cap_end = max(-alpha - 1.0, 0.0) + 2.0
-    res = integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
-    return _tolerance_met(res, c, spec, f"nu_alpha (alpha = {alpha:g})")
 
 
 def _exponents(ws: np.ndarray):
@@ -425,8 +391,12 @@ def nu_general_detailed(sf: StructureFn, w, spec: QuadSpec):
     abs_w = np.abs(flat)
     _check_domain(sf.params, abs_w)
     nz = abs_w != 0.0
-    c, log_r = _exponents(flat[nz])
-    res = _nu_integral(sf, log_r, c, spec)[0] if c.size else IntegrationResult(c, np.zeros(0), 0)
+    args = flat[nz]
+    c, log_r = _exponents(args)
+    res = IntegrationResult(c, np.zeros(0), 0)
+    if c.size:
+        log_weight = lambda E: (-sf.log_rho_continuous(E),)  # noqa: E731
+        res = _nu_integral(_nu_probe(sf, log_r), log_weight, c, args, spec, "nu")
     if c.size < flat.size:  # a zero argument gives 0 with error 0
         value, error = np.zeros(flat.shape, c.dtype), np.zeros(flat.shape)
         value[nz], error[nz] = res.value, res.error_estimate
@@ -460,8 +430,10 @@ def nu_general_log(sf: StructureFn, w: float, spec: QuadSpec) -> float:
         raise DomainError(f"nu_general_log requires finite w > 0, got {w!r}")
     _check_domain(sf.params, w)
     log_r = math.log(w)
-    res, shift = _nu_integral(sf, log_r, np.array([log_r]), spec, scaled=True)
-    return shift + math.log(res.value[0])
+    probe = _nu_probe(sf, log_r)
+    log_weight = lambda E: (-sf.log_rho_continuous(E),)  # noqa: E731
+    res = _nu_integral(probe, log_weight, np.array([log_r]), (w,), spec, "nu", shift=probe.peak_log_value)
+    return probe.peak_log_value + math.log(res.value[0])
 
 
 def nu_alpha_detailed(w, alpha: float, spec: QuadSpec):
@@ -477,7 +449,19 @@ def nu_alpha_detailed(w, alpha: float, spec: QuadSpec):
     if not math.isfinite(alpha):
         raise DomainError(f"nu_alpha requires finite alpha, got {alpha!r}")
     c, log_r = _exponents(flat)
-    res = _nu_alpha_integral(log_r, c, alpha, spec) if c.size else IntegrationResult(c, c, 0)
+    if not c.size:
+        return _result(IntegrationResult(c, c, 0), ws.shape)
+    # Right of E0, past the last zero of 1/Gamma, the log-modulus at log_r is
+    # the concave (1,1; 1; b) family's at E - E0 plus `up`, so that family's
+    # probe, moved by E0 and up, is the probe (left of E0 the log-modulus may
+    # rise above its peak value, putting T even further below the maximum).
+    E0 = max(-alpha - 0.5, 0.0)
+    b = alpha + 1.0 + E0
+    p = _nu_probe(StructureFn(HyperParams(1, 1, (1.0,), (b,))), log_r)
+    up = (alpha + E0) * log_r - _log_gamma_scalar(b)
+    probe = IntegrandProbe(p.peak_location + E0, p.truncation_point + E0, p.peak_log_value + up)
+    log_weight = lambda E: reciprocal_gamma_log_signed(alpha + E + 1.0)  # noqa: E731
+    res = _nu_integral(probe, log_weight, c, flat, spec, f"nu_alpha (alpha = {alpha:g})", alpha)
     return _result(res, ws.shape)
 
 
@@ -501,7 +485,7 @@ def nu_on_circle(r: float, phases, sf: StructureFn, spec: QuadSpec):
 
 def nu_positive_batch(sf: StructureFn, ws, spec: QuadSpec):
     """nu_general_detailed's values at an array of real arguments >= 0.
-    The nested identity checks pass it each outer panel's nodes at once."""
+    No library module calls it or the other views."""
     ws = np.asarray(ws, dtype=float)
     if np.any(ws < 0.0) or np.any(~np.isfinite(ws)):
         raise DomainError("nu_positive_batch requires finite ws >= 0")

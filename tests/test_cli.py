@@ -172,6 +172,9 @@ def test_eval_density_and_poisson(capsys):
     fields = out.strip().splitlines()[1].split(",")
     expect = math.exp(-3.0) * 9.0 / 2.0
     assert math.isclose(float(fields[1]), expect, rel_tol=1e-14)
+    for n in ("inf", "nan"):
+        code, out, err = run_cli(capsys, "eval", "poisson", "--zsq", "1", "--n", n)
+        assert (code, out) == (2, "") and err.startswith("usage error: ")
 
 
 def test_eval_writes_out_file(tmp_path, capsys):
@@ -290,18 +293,33 @@ def test_table_domain_errors_name_the_first_bad_row(capsys):
     assert (code, out, err) == (3, "", "domain error: nu_alpha requires w > 0, got 0.0\n")
 
 
+def test_a_row_that_misses_its_tolerance_fails_the_whole_table(capsys):
+    # nu_alpha(w, -1.5) changes sign near its first row, whose value is a
+    # small remainder of the integral of |f|; the other rows meet their
+    # tolerance, but the table prints none of them.
+    code, out, err = run_cli(
+        capsys, "table", "nu-alpha", "--alpha", "-1.5", "--grid", "0.10611229234938868:0.2:3"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical error: nu_alpha (alpha = -1.5) at w = 0.106112 misses rel_tol")
+
+
 def test_one_tree_per_table(capsys, monkeypatch):
+    # nu, gnu and nu-alpha share one integral core.
     calls = _count_calls(monkeypatch, "_nu_integral")
-    alpha_calls = _count_calls(monkeypatch, "_nu_alpha_integral")
     assert len(_table_rows(capsys, "table", "nu", "--grid", "0.1:10:30:log")) == 30
     assert len(calls) == 1
     assert len(_table_rows(capsys, "eval", "gnu", *FAMILY_TABLES[1][0], "--grid", "0.1:10:12")) == 12
     assert len(calls) == 2
     assert len(_table_rows(capsys, "table", "nu-alpha", "--alpha", "0.5", "--grid", "0.5:3:12")) == 12
-    assert len(alpha_calls) == 1
+    assert len(calls) == 3
     # Wide tables run in chunks of rows, one tree each.
     rows = _table_rows(capsys, "table", "nu", "--grid", "0.1:10:130")
-    assert len(calls) == 2 + 3 and len(rows) == 130
+    assert len(calls) == 3 + 3 and len(rows) == 130
+    rows = _table_rows(capsys, "table", "gnu", *FAMILY_TABLES[1][0], "--grid", "0.1:10:70")
+    assert len(calls) == 6 + 2 and len(rows) == 70
+    rows = _table_rows(capsys, "table", "nu-alpha", "--alpha", "0.5", "--grid", "0.5:3:70")
+    assert len(calls) == 8 + 2 and len(rows) == 70
 
 
 @pytest.mark.parametrize(
@@ -323,7 +341,8 @@ def test_bad_grid_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nu", "--grid=-1:10:3:log"])
     assert exc.value.code == 2
-    for grid in ("0:inf:3", "nan:1:3"):
+    # A count past the cap is refused before any row is allocated.
+    for grid in ("0:inf:3", "nan:1:3", "0:1:10000000000000"):
         with pytest.raises(SystemExit) as exc:
             main(["table", "nu", "--grid", grid])
         assert exc.value.code == 2
@@ -479,3 +498,8 @@ def test_zero_tolerance_is_usage_error(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "usage error: QuadSpec.rel_tol must be > 0" in err
+    # check's --tol is the identities' own tolerance: 0 asks for exact
+    # agreement, while NaN or a negative value would fail every case.
+    for tol in ("nan", "-1"):
+        code, out, err = run_cli(capsys, "check", "--filter", "4.19", "--tol", tol)
+        assert (code, out) == (2, "") and err == f"usage error: --tol must be >= 0, got {float(tol)}\n"

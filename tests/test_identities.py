@@ -16,6 +16,7 @@ from nufunc import (
     QuadSpec,
     StructureFn,
     ToleranceNotMet,
+    UnsupportedFamily,
     check_complex_gaussian,
     check_derivative_relation,
     check_eq_4_20,
@@ -88,6 +89,12 @@ def test_weighted_integral_check_rejects_x_at_or_below_one():
         check_weighted_nu_integral(PLAIN, 0.5)
 
 
+@pytest.mark.parametrize("params", [HyperParams(0, 1, (), (2.0,)), HyperParams(1, 1, (2.0,), (3.0,))])
+def test_weighted_integral_check_rejects_a_family_without_an_elementary_weight(params):
+    with pytest.raises(UnsupportedFamily, match="^weighted integrals support only the bare family"):
+        check_weighted_nu_integral(StructureFn(params), 2.0)
+
+
 def test_log_shifted_weight_check_passes():
     r = check_eq_4_20(0.5, 3.0)
     assert r.id == "4.20" and r.passed
@@ -95,6 +102,13 @@ def test_log_shifted_weight_check_passes():
     # identity hold, and carry both candidate left-hand values
     assert "normaliz" in r.description
     assert "unnormalized" in r.description
+
+
+def test_log_shifted_weight_check_domain_errors():
+    with pytest.raises(DomainError, match=r"^power weight requires b > -1, got b=-1.0"):
+        check_eq_4_20(-1.0, 3.0)
+    with pytest.raises(DomainError, match=r"^power-weighted integral requires x > 1, got x=1.0"):
+        check_eq_4_20(0.5, 1.0)
 
 
 def test_log_shifted_weight_reduces_to_weighted_integral_at_b_zero():
@@ -170,6 +184,8 @@ def test_shift_parameter_check_domain_errors():
         check_eq_4_22(PLAIN, 2.0, -1.5)  # shift pushes the exponent below -1
     with pytest.raises(DomainError):
         check_eq_4_22(CONFLUENT, 2.0, -1.0)  # shifted family entry hits zero
+    with pytest.raises(DomainError, match="^finite alpha required, got nan"):
+        check_eq_4_22(PLAIN, 2.0, math.nan)
 
 
 def test_planar_gaussian_check_zero_argument_shortcut():
@@ -375,6 +391,11 @@ def test_formal_series_documents_divergence():
     assert "diverge" in r.description
     # the partial sum wanders far from the integral: that is the point
     assert abs(r.rhs - r.lhs) > 1.0
+
+
+def test_formal_series_rejects_s_at_zero():
+    with pytest.raises(DomainError, match=r"^formal series check requires s > 0, got s=0.0"):
+        check_formal_series_4_21(0.0, 10)
 
 
 def test_formal_series_rejects_bad_truncation_order():

@@ -20,7 +20,14 @@ from nufunc.coherent import (
     transition_density,
 )
 from nufunc.doot import exp_argument_matrix_elements
-from nufunc.errors import DivergentFamily, DomainError, NonFinite, NuFuncError, ToleranceNotMet
+from nufunc.errors import (
+    DivergentFamily,
+    DomainError,
+    NoConvergence,
+    NonFinite,
+    NuFuncError,
+    ToleranceNotMet,
+)
 from nufunc.identities import check_complex_gaussian, check_derivative_relation, check_laplace_nu
 from nufunc.nu import (
     HyperParams,
@@ -147,6 +154,7 @@ def test_general_family_value_against_brute_force():
         (HyperParams(1, 1, (1.5,), (2.0,)), 3.0),
         (HyperParams(1, 2, (0.5,), (2.0, 3.5)), 40.0),
         (HyperParams(2, 1, (1.0, 1.5), (2.0,)), 0.5),
+        (HyperParams(0, 0), 0.0),
     ],
 )
 def test_pfq_series_log_matches_log_of_the_series(params, w):
@@ -157,6 +165,14 @@ def test_structure_function_discrete_continuous_agreement():
     sf = StructureFn(HyperParams(1, 1, (1.5,), (2.5,)))
     for n in range(8):
         assert rho_discrete(sf, n) == pytest.approx(rho_continuous(sf, float(n)), abs=1e-10)
+
+
+def test_structure_function_rejects_arguments_outside_its_domain():
+    with pytest.raises(DomainError, match="^rho_discrete requires n >= 0, got -1$"):
+        rho_discrete(PLAIN, -1)
+    for E in (-1.0, math.inf):
+        with pytest.raises(DomainError, match=f"^rho_continuous requires E >= 0, got {E!r}$"):
+            rho_continuous(PLAIN, E)
 
 
 # Plain, (1,1), (1,2) and (2,1) families; b = 0.7 puts the (1,2) family's
@@ -197,6 +213,8 @@ def test_log_rho_scalar_matches_per_term_reference(params):
 
 
 def test_hyperparams_validation():
+    with pytest.raises(DomainError, match="^HyperParams requires p >= 0 and q >= 0"):
+        HyperParams(-1, 0)
     with pytest.raises(DomainError):
         HyperParams(1, 0, (), ())
     with pytest.raises(DomainError):
@@ -217,6 +235,16 @@ def test_pfq_confluent_closed_form():
     for w in (1.3, 2.0, -3.0):
         expected = (math.exp(w) - 1.0) / w
         assert pfq_series(params, w).real == pytest.approx(expected, rel=1e-12)
+
+
+def test_series_that_needs_more_terms_than_its_cap_raises():
+    # 1/(1 - w) on (1,0; 1; ): at w = 0.9999 the terms fall below 1e-16 of
+    # the sum only after about 276 000 terms.
+    params = HyperParams(1, 0, (1.0,), ())
+    with pytest.raises(NoConvergence, match=r"^series did not converge within 10000 terms at \|w\|=0.9999"):
+        pfq_series(params, 0.9999)
+    with pytest.raises(NoConvergence, match="^log-scale series did not converge within 10000 terms at w=0.9999"):
+        pfq_series_log(params, 0.9999)
 
 
 def test_pfq_series_log_large_argument():
@@ -490,7 +518,8 @@ def test_nu_alpha_integrand_is_non_negative_only_above_minus_one(alpha, monkeypa
 def test_nu_that_misses_its_tolerance_raises(w):
     # The integrand cancels: |value| is far below the integral of |f|, to
     # which the engine holds the error.  nu(-50) is -0.1532 + 0.0929i.
-    with pytest.raises(ToleranceNotMet, match="misses rel_tol 1e-10") as exc:
+    # The message names the argument as passed.
+    with pytest.raises(ToleranceNotMet, match=f"at w = {w:g} misses rel_tol 1e-10") as exc:
         nu(w, SPEC)
     est, bound = exc.value.estimate, exc.value.error_bound
     assert est.shape == bound.shape == (1,)
@@ -506,7 +535,7 @@ def test_overlap_whose_normalizer_misses_its_tolerance_raises():
 def test_nu_alpha_that_misses_its_tolerance_raises():
     # nu_alpha(w, -1.5) changes sign near w = 0.106112, where its value is
     # a small remainder of the integral of |f|.
-    with pytest.raises(ToleranceNotMet, match=r"nu_alpha \(alpha = -1.5\) at w = 0.106112\+0j"):
+    with pytest.raises(ToleranceNotMet, match=r"nu_alpha \(alpha = -1.5\) at w = 0.106112 misses"):
         nu_alpha_detailed(0.10611229234938868, -1.5, SPEC)
     assert nu_alpha(0.09, -1.5, SPEC) < 0.0 < nu_alpha(0.12, -1.5, SPEC)
 

@@ -1,8 +1,10 @@
 """The public surface: each library module's __all__ is the one list of its
 public names, and the package republishes exactly their union."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -40,3 +42,24 @@ def test_wildcard_import_binds_only_the_listed_names(name):
     exec(f"from nufunc.{name} import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(_module(name).__all__)
+
+
+# Views kept public for the benchmark's tracer and warm-up; the library itself
+# calls the two detailed evaluators.
+VIEWS = {"nu_positive_batch", "nu_alpha_positive_batch", "nu_complex_grid", "nu_on_circle"}
+
+
+def test_no_library_module_calls_the_nu_views():
+    package = pathlib.Path(nufunc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "nu.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & VIEWS, f"{path.name} names {sorted(names & VIEWS)}"
