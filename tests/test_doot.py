@@ -166,6 +166,87 @@ def test_normal_order_rejects_non_nodes():
         normal_order("Ap")
 
 
+PINNED_Z = 0.3 + 0.4j
+AP_AM = Product((SymbolPlus(), SymbolMinus()))
+PINNED_TREES = [
+    # the five point_mix scalarizer templates of the benchmark
+    (
+        "nu[0,0;;](#exp(z*Ap - conj(z)*Am)#)",
+        NuWrap(
+            PLAIN,
+            NormalOrder(
+                Exp(
+                    Sum(
+                        (
+                            Product((Scalar(0.3 + 0.4j), SymbolPlus())),
+                            Product((Scalar(-0.3 + 0.4j), SymbolMinus())),
+                        )
+                    )
+                )
+            ),
+        ),
+    ),
+    ("#Ap*Am#", NormalOrder(AP_AM)),
+    ("nu[1,1;1.5;2](Ap*Am)", NuWrap(StructureFn(HyperParams(1, 1, (1.5,), (2.0,))), AP_AM)),
+    (
+        "2.5*Ap^2 - 0.5i*Am",
+        Sum(
+            (
+                Product((Scalar(2.5 + 0j), Power(SymbolPlus(), 2.0))),
+                Product((Scalar(-0.5j), SymbolMinus())),
+            )
+        ),
+    ),
+    ("exp(Ap)*nu[0,0;;](Am)", Product((Exp(SymbolPlus()), NuWrap(PLAIN, SymbolMinus())))),
+    # a Sum in a Sum and a Product in a Product splice into their parent
+    ("(Ap+1)+(2+Am)", Sum((SymbolPlus(), SymbolMinus(), Scalar(3 + 0j)))),
+    ("(2*Am)*Ap*(3*exp(Ap))", Product((Scalar(6 + 0j), SymbolPlus(), SymbolMinus(), Exp(SymbolPlus())))),
+    ("Ap^2*Ap^-1*Am", AP_AM),
+    (
+        "exp(Ap)*exp(2*Am)*exp(0.5)",
+        Exp(Sum((SymbolPlus(), Product((Scalar(2 + 0j), SymbolMinus())), Scalar(0.5 + 0j)))),
+    ),
+    ("0*Ap + Am", SymbolMinus()),
+    ("0*Ap*exp(Am)", Scalar(0j)),
+]
+
+
+@pytest.mark.parametrize("text, tree", PINNED_TREES, ids=[t for t, _ in PINNED_TREES])
+def test_normal_order_pinned_trees(text, tree):
+    assert normal_order(parse_expression(text, z_value=PINNED_Z)) == tree
+
+
+def test_normal_order_pinned_nested_nodes():
+    nested_sum = Sum((Sum((SymbolPlus(), Scalar(1))), Scalar(2), SymbolMinus()))
+    assert normal_order(nested_sum) == Sum((SymbolPlus(), SymbolMinus(), Scalar(3 + 0j)))
+    nested_product = Product((Product((Scalar(2), SymbolMinus())), Product((SymbolPlus(), Scalar(3)))))
+    assert normal_order(nested_product) == Product((Scalar(6 + 0j), SymbolPlus(), SymbolMinus()))
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("#Ap*Am#", 0.25 + 0j),
+        ("2.5*Ap^2 - 0.5i*Am", 0.02499999999999991 - 0.75j),
+        ("Ap^2*Ap^-1*Am", 0.25 + 0j),
+        ("exp(Ap)*exp(2*Am)*exp(0.5)", 3.7350865123424226 + 1.5791692488187477j),
+    ],
+)
+def test_scalarize_pinned_values(text, value):
+    query = MatrixElementQuery(PINNED_Z, PINNED_Z, parse_expression(text))
+    assert scalarize(query, PLAIN, SPEC) == value
+
+
+def test_parse_pinned_raw_tree():
+    # the parser keeps each '-' as a factor of -1 and each '*' as its own node
+    assert parse_expression("-Ap - 2*Am^-1.5") == Sum(
+        (
+            Product((Scalar(-1 + 0j), SymbolPlus())),
+            Product((Scalar(-1 + 0j), Product((Scalar(2 + 0j), Power(SymbolMinus(), -1.5))))),
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # scalarization
 # ---------------------------------------------------------------------------
