@@ -85,9 +85,21 @@ def _parse_grid(text: str):
     return np.linspace(start, stop, count)
 
 
+def _flag_value(flag: str, parse, text):
+    """parse(text); its ValueError is restated as an error of `flag`."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _real_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
 def _family(args) -> StructureFn:
-    a = tuple(float(v) for v in args.a.split(",") if v.strip()) if args.a else ()
-    b = tuple(float(v) for v in args.b.split(",") if v.strip()) if args.b else ()
+    a = _flag_value("--a", _real_list, args.a)
+    b = _flag_value("--b", _real_list, args.b)
     return StructureFn(HyperParams(args.p, args.q, a, b))
 
 
@@ -117,27 +129,24 @@ def _rows_text(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _eval_rows(args, parser) -> list:
+def _eval_rows(args) -> list:
     spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
     fn = args.function
 
     def inputs(default_flag, flag_name):
         if args.grid is not None:
-            try:
-                return _parse_grid(args.grid)
-            except ValueError as exc:
-                parser.error(f"--grid: {exc}")
+            return _flag_value("--grid", _parse_grid, args.grid)
         if default_flag is None:
-            parser.error(f"{flag_name} (or --grid) is required for '{fn}'")
-        return np.array([float(default_flag)])
+            raise ValueError(f"{flag_name} (or --grid) is required for '{fn}'")
+        return np.array([_flag_value(flag_name, float, default_flag)])
 
     rows = []
     if fn in ("nu", "gnu", "nu-alpha"):
         if fn == "nu-alpha" and args.alpha is None:
-            parser.error("--alpha is required for 'nu-alpha'")
+            raise ValueError("--alpha is required for 'nu-alpha'")
         sf = _family(args) if fn == "gnu" else StructureFn(HyperParams(0, 0))
         if fn == "gnu" and args.grid is None and args.z is not None:
-            w = parse_complex_literal(args.z)
+            w = _flag_value("--z", parse_complex_literal, args.z)
             ws, xs = np.array([w if w.imag else w.real]), [abs(w)]  # a real --z is a real row
         else:
             ws = xs = inputs(args.z, "--z")
@@ -151,7 +160,7 @@ def _eval_rows(args, parser) -> list:
     elif fn == "pfq":
         sf = _family(args)
         if args.grid is None and args.z is not None:
-            w = parse_complex_literal(args.z)
+            w = _flag_value("--z", parse_complex_literal, args.z)
             v = pfq_series(sf.params, w)
             rows.append((abs(w), v.real, v.imag, 0.0))
         else:
@@ -160,17 +169,17 @@ def _eval_rows(args, parser) -> list:
                 rows.append((w, v.real, v.imag, 0.0))
     elif fn == "overlap":
         if args.grid is not None:
-            parser.error("--grid is not supported for 'overlap' (scalar labels only)")
+            raise ValueError("--grid is not supported for 'overlap' (scalar labels only)")
         if args.bra is None or args.ket is None:
-            parser.error("--bra and --ket are required for 'overlap'")
+            raise ValueError("--bra and --ket are required for 'overlap'")
         sf = _family(args)
-        z1 = parse_complex_literal(args.bra)
-        z2 = parse_complex_literal(args.ket)
+        z1 = _flag_value("--bra", parse_complex_literal, args.bra)
+        z2 = _flag_value("--ket", parse_complex_literal, args.ket)
         v, est = _overlap_detailed(sf, z1, z2, spec)
         rows.append((0.0, v.real, v.imag, est))
     elif fn == "density":
         if args.zsq is None:
-            parser.error("--zsq is required for 'density'")
+            raise ValueError("--zsq is required for 'density'")
         sf = _family(args)
         energies = inputs(args.E, "--E")
         dens, norm = _density_detailed(sf, float(args.zsq), energies, spec)
@@ -179,18 +188,19 @@ def _eval_rows(args, parser) -> list:
             rows.append((e_val, v, 0.0, abs(v) * norm.error_estimate / norm_val))
     elif fn == "poisson":
         if args.zsq is None:
-            parser.error("--zsq is required for 'poisson'")
+            raise ValueError("--zsq is required for 'poisson'")
+        flag = "--n" if args.grid is None else "--grid"
         for n_val in inputs(args.n, "--n"):
-            if not math.isfinite(n_val):
-                raise ValueError(f"--n must be finite, got {n_val}")
-            n_int = int(round(float(n_val)))
+            if not float(n_val).is_integer():
+                raise ValueError(f"{flag}: poisson needs an integer n, got {float(n_val)}")
+            n_int = int(n_val)
             v = poisson_density_discrete(float(args.zsq), n_int)
             rows.append((float(n_int), v, 0.0, 0.0))
     return rows
 
 
-def _cmd_eval(args, parser) -> int:
-    rows = _eval_rows(args, parser)
+def _cmd_eval(args) -> int:
+    rows = _eval_rows(args)
     _emit(_rows_text(rows, args.format), args.out)
     return 0
 
@@ -203,20 +213,17 @@ def _cmd_check(args) -> int:
     return 0 if suite_passed(reports) else 1
 
 
-def _cmd_doot(args, parser) -> int:
+def _cmd_doot(args) -> int:
     spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
-    z = parse_complex_literal(args.z) if args.z is not None else None
+    z = _flag_value("--z", parse_complex_literal, args.z) if args.z is not None else None
 
     def label(text, flag):
         t = text.strip()
         if t == "z" or t == "conj(z)":
             if z is None:
-                parser.error(f"{flag}={t!r} requires --z")
+                raise ValueError(f"{flag}={t!r} requires --z")
             return z.conjugate() if t == "conj(z)" else z
-        try:
-            return parse_complex_literal(t)
-        except ValueError as exc:
-            parser.error(f"{flag}: {exc}")
+        return _flag_value(flag, parse_complex_literal, t)
 
     bra = label(args.bra, "--bra")
     ket = label(args.ket, "--ket")
@@ -290,11 +297,11 @@ def main(argv=None) -> int:
     try:
         if args.command in ("eval", "table"):
             if args.command == "table" and args.grid is None:
-                parser.error("table requires --grid")
-            return _cmd_eval(args, parser)
+                raise ValueError("table requires --grid")
+            return _cmd_eval(args)
         if args.command == "check":
             return _cmd_check(args)
-        return _cmd_doot(args, parser)
+        return _cmd_doot(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

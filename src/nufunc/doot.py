@@ -129,23 +129,33 @@ class MatrixElementQuery:
 # Canonicalization
 
 
-def _symbol_power(node: DootExpr):
-    """(which, exponent) when the node is a bare symbol power, else None."""
-    if isinstance(node, SymbolPlus):
-        return ("+", 1.0)
-    if isinstance(node, SymbolMinus):
-        return ("-", 1.0)
-    if isinstance(node, Power) and isinstance(node.base, (SymbolPlus, SymbolMinus)):
-        which = "+" if isinstance(node.base, SymbolPlus) else "-"
-        return (which, float(node.exponent))
-    return None
+def _nary(kind, items: list) -> DootExpr:
+    """`kind`'s identity Scalar for no items, the item for one, else a `kind` node."""
+    if len(items) == 1:
+        return items[0]
+    if not items:
+        return Scalar(0j) if kind is Sum else Scalar(1 + 0j)
+    return kind(tuple(items))
 
 
-def _rebuild_symbol(which: str, exponent: float):
-    base = SymbolPlus() if which == "+" else SymbolMinus()
-    if exponent == 1.0:
-        return base
-    return Power(base, exponent)
+def _flatten(node) -> list:
+    """A Sum's terms or a Product's factors, normal-ordered, nested nodes of its kind spliced in."""
+    kind, field = (Sum, "terms") if isinstance(node, Sum) else (Product, "factors")
+    flat = []
+    for child in map(normal_order, getattr(node, field)):
+        if isinstance(child, kind):
+            flat.extend(getattr(child, field))
+        else:
+            flat.append(child)
+    return flat
+
+
+def _power(base: complex, exponent: float) -> complex:
+    """base ** exponent; a zero base raised to a negative power is a DomainError."""
+    try:
+        return base**exponent
+    except ZeroDivisionError:
+        raise DomainError("zero base raised to a negative power") from None
 
 
 def normal_order(e: DootExpr) -> DootExpr:
@@ -163,72 +173,39 @@ def normal_order(e: DootExpr) -> DootExpr:
     if isinstance(e, Sum):
         terms = []
         scalar_sum = 0j
-        for raw in e.terms:
-            t = normal_order(raw)
-            if isinstance(t, Sum):
-                inner = list(t.terms)
+        for t in _flatten(e):
+            if isinstance(t, Scalar):
+                scalar_sum += t.value
             else:
-                inner = [t]
-            for item in inner:
-                if isinstance(item, Scalar):
-                    scalar_sum += item.value
-                else:
-                    terms.append(item)
+                terms.append(t)
         if scalar_sum != 0:
             terms.append(Scalar(scalar_sum))
-        if not terms:
-            return Scalar(0j)
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        return _nary(Sum, terms)
     if isinstance(e, Product):
         coeff = 1 + 0j
-        plus_power = 0.0
-        minus_power = 0.0
+        powers = {SymbolPlus: 0.0, SymbolMinus: 0.0}
         exp_args = []
         others = []
-        stack = [normal_order(f) for f in e.factors]
-        flat = []
-        for f in stack:
-            if isinstance(f, Product):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        for f in flat:
+        for f in _flatten(e):
+            base, exponent = (f.base, float(f.exponent)) if isinstance(f, Power) else (f, 1.0)
             if isinstance(f, Scalar):
                 coeff *= f.value
-                continue
-            sym = _symbol_power(f)
-            if sym is not None:
-                if sym[0] == "+":
-                    plus_power += sym[1]
-                else:
-                    minus_power += sym[1]
-                continue
-            if isinstance(f, Exp):
+            elif type(base) in powers:
+                powers[type(base)] += exponent
+            elif isinstance(f, Exp):
                 exp_args.append(f.argument)
-                continue
-            others.append(f)
+            else:
+                others.append(f)
         if coeff == 0:
             return Scalar(0j)
-        factors = []
-        if coeff != 1:
-            factors.append(Scalar(coeff))
-        if plus_power != 0.0:
-            factors.append(_rebuild_symbol("+", plus_power))
-        if minus_power != 0.0:
-            factors.append(_rebuild_symbol("-", minus_power))
+        factors = [Scalar(coeff)] if coeff != 1 else []
+        for symbol, exponent in powers.items():
+            if exponent != 0.0:
+                factors.append(symbol() if exponent == 1.0 else Power(symbol(), exponent))
         if exp_args:
-            if len(exp_args) == 1:
-                factors.append(Exp(exp_args[0]))
-            else:
-                factors.append(Exp(normal_order(Sum(tuple(exp_args)))))
-        factors.extend(others)
-        if not factors:
-            return Scalar(1 + 0j)
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+            merged = exp_args[0] if len(exp_args) == 1 else normal_order(Sum(tuple(exp_args)))
+            factors.append(Exp(merged))
+        return _nary(Product, factors + others)
     if isinstance(e, Power):
         base = normal_order(e.base)
         exponent = float(e.exponent)
@@ -239,10 +216,7 @@ def normal_order(e: DootExpr) -> DootExpr:
         if isinstance(base, Power):
             return normal_order(Power(base.base, base.exponent * exponent))
         if isinstance(base, Scalar):
-            try:
-                return Scalar(complex(base.value) ** exponent)
-            except ZeroDivisionError:
-                raise DomainError("zero base raised to a negative power") from None
+            return Scalar(_power(complex(base.value), exponent))
         return Power(base, exponent)
     if isinstance(e, Exp):
         return Exp(normal_order(e.argument))
@@ -276,11 +250,7 @@ def _evaluate(e: DootExpr, plus: complex, minus: complex, spec: QuadSpec) -> com
             out *= _evaluate(f, plus, minus, spec)
         return out
     if isinstance(e, Power):
-        base = _evaluate(e.base, plus, minus, spec)
-        try:
-            return base ** e.exponent
-        except ZeroDivisionError:
-            raise DomainError("zero base raised to a negative power") from None
+        return _power(_evaluate(e.base, plus, minus, spec), e.exponent)
     if isinstance(e, Exp):
         return cmath.exp(_evaluate(e.argument, plus, minus, spec))
     if isinstance(e, NuWrap):
@@ -422,12 +392,8 @@ def _tokenize(text: str):
                 break
             bad_at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -448,14 +414,17 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect(self, kind: str, value: str):
-        tok = self.advance()
-        if tok[0] != kind or tok[1] != value:
-            raise ParseError(f"expected {value!r}", tok[2])
-        return tok
+    def accept(self, chars: str) -> str:
+        """Consume the next token if it is punctuation in `chars` and return it, else ''."""
+        kind, value, _ = self.peek()
+        if kind == "punct" and value in chars:
+            self.index += 1
+            return value
+        return ""
 
-    def fail(self, message: str):
-        raise ParseError(message, self.peek()[2])
+    def expect(self, value: str):
+        if not self.accept(value):
+            raise ParseError(f"expected {value!r}", self.peek()[2])
 
     def require_z(self, position: int) -> complex:
         if self.z_value is None:
@@ -473,81 +442,44 @@ class _Parser:
 
     def expr(self) -> DootExpr:
         terms = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] in "+-":
-                self.advance()
-                term = self.term()
-                if tok[1] == "-":
-                    term = Product((Scalar(-1 + 0j), term))
-                terms.append(term)
-            else:
-                break
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        while op := self.accept("+-"):
+            term = self.term()
+            terms.append(Product((Scalar(-1 + 0j), term)) if op == "-" else term)
+        return _nary(Sum, terms)
 
     def term(self) -> DootExpr:
         factors = [self.unary()]
-        while True:
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] == "*":
-                self.advance()
-                factors.append(self.unary())
-            else:
-                break
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        while self.accept("*"):
+            factors.append(self.unary())
+        return _nary(Product, factors)
 
     def unary(self) -> DootExpr:
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] == "-":
-            self.advance()
+        if self.accept("-"):
             return Product((Scalar(-1 + 0j), self.unary()))
         return self.postfix()
 
     def postfix(self) -> DootExpr:
         base = self.atom()
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] == "^":
-            self.advance()
-            exponent = self.signed_real()
-            return Power(base, exponent)
+        if self.accept("^"):
+            sign = -1.0 if self.accept("+-") == "-" else 1.0
+            return Power(base, sign * self.real_number("a real exponent"))
         return base
 
-    def signed_real(self) -> float:
-        sign = 1.0
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] in "+-":
-            self.advance()
-            if tok[1] == "-":
-                sign = -1.0
-            tok = self.peek()
-        if tok[0] != "number" or tok[1].endswith("i"):
-            self.fail("expected a real exponent")
-        self.advance()
-        return sign * float(tok[1])
-
-    def real_number(self) -> float:
+    def real_number(self, what: str = "a real number") -> float:
         tok = self.advance()
         if tok[0] != "number" or tok[1].endswith("i"):
-            raise ParseError("expected a real number", tok[2])
+            raise ParseError(f"expected {what}", tok[2])
         return float(tok[1])
 
     def real_list(self, terminator: str) -> tuple:
+        """Comma-separated reals up to and including `terminator`; the list may be empty."""
         values = []
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] == terminator:
-            return ()
-        values.append(self.real_number())
-        while True:
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] == ",":
-                self.advance()
+        if not self.accept(terminator):
+            while True:
                 values.append(self.real_number())
-            else:
-                break
+                if not self.accept(","):
+                    break
+            self.expect(terminator)
         return tuple(values)
 
     def atom(self) -> DootExpr:
@@ -568,32 +500,30 @@ class _Parser:
             if value == "z":
                 return Scalar(self.require_z(pos))
             if value == "conj":
-                self.expect("punct", "(")
+                self.expect("(")
                 inner = self.advance()
                 if inner[0] != "name" or inner[1] != "z":
                     raise ParseError("conj(...) accepts only z", inner[2])
-                self.expect("punct", ")")
+                self.expect(")")
                 return Scalar(self.require_z(pos).conjugate())
             if value == "exp":
-                self.expect("punct", "(")
+                self.expect("(")
                 argument = self.expr()
-                self.expect("punct", ")")
+                self.expect(")")
                 return Exp(argument)
             if value == "nu":
-                self.expect("punct", "[")
+                self.expect("[")
                 p = self.real_number()
-                self.expect("punct", ",")
+                self.expect(",")
                 q = self.real_number()
                 if p != int(p) or q != int(q):
                     raise ParseError("family indices must be integers", pos)
-                self.expect("punct", ";")
+                self.expect(";")
                 a = self.real_list(";")
-                self.expect("punct", ";")
                 b = self.real_list("]")
-                self.expect("punct", "]")
-                self.expect("punct", "(")
+                self.expect("(")
                 argument = self.expr()
-                self.expect("punct", ")")
+                self.expect(")")
                 try:
                     family = StructureFn(HyperParams(int(p), int(q), a, b))
                 except DomainError as exc:
@@ -603,11 +533,11 @@ class _Parser:
         if kind == "punct":
             if value == "(":
                 inner = self.expr()
-                self.expect("punct", ")")
+                self.expect(")")
                 return inner
             if value == "#":
                 inner = self.expr()
-                self.expect("punct", "#")
+                self.expect("#")
                 return NormalOrder(inner)
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 

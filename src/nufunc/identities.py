@@ -466,14 +466,17 @@ def check_formal_series_4_21(
         raise DomainError(f"formal series check requires s > 0, got s={s!r}")
     if L < 0:
         raise DomainError(f"truncation order must be >= 0, got L={L}")
+    ls = np.arange(L + 1)
+    with np.errstate(over="ignore"):
+        powers = s**ls
+    if not math.isfinite(powers[-1]):
+        raise DomainError(f"formal series check requires a finite s**L, got s={s!r}, L={L}")
 
     # exp(-s*t) <= 1 keeps the inner nu bounded: the scale is infinite.
     res = _weighted_lhs(
         _PLAIN, math.inf, spec, lambda t: nu_general(_PLAIN, np.exp(-s * t), spec).real
     )
     lhs = complex(res.value).real
-
-    ls = np.arange(L + 1)
 
     def g(E):
         E = np.asarray(E, dtype=float)
@@ -485,7 +488,7 @@ def check_formal_series_4_21(
 
     probe_e = locate_peak(log_top, hint=max(1.0, L / (s + 1.0)))
     moments = integrate_vector_semi_infinite(g, probe_e, spec).value
-    terms = np.real(moments) * s**ls
+    terms = np.real(moments) * powers
     partial = np.cumsum(terms)
     rhs = float(partial[-1])
 

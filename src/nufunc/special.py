@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFinite
 
 __all__ = [
     "log_gamma",
@@ -70,6 +70,9 @@ _LANCZOS_DEN = (
 
 _LANCZOS_NUM_REV = tuple(reversed(_LANCZOS_NUM))
 _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
+# ln Gamma(x) is 1.756e308 at this x and overflows a little above 2.556e305.
+_LOG_GAMMA_MAX = 2.5e305
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _rational(num, den, t):
@@ -115,6 +118,8 @@ def _log_gamma_scalar(x: float, log=math.log) -> float:
     """
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    if x > _LOG_GAMMA_MAX:
+        raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
     if x >= 1.0:
         u = 1.0 / x
         num = 0.0
@@ -144,8 +149,11 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     # A NaN propagates through both; an empty array passes.
     x_min = arr.min(initial=math.inf)
-    if not (x_min > 0.0 and arr.max(initial=0.0) < math.inf):
+    x_max = arr.max(initial=0.0)
+    if not (x_min > 0.0 and x_max < math.inf):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    if x_max > _LOG_GAMMA_MAX:
+        raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
     # The rational sum absorbs the sqrt(2*pi) prefactor of the Stirling-type
     # formula, so ln Gamma(x) = (x - 1/2) [ln(x + g - 1/2) - 1] + ln L(x).
     base = arr + (_LANCZOS_G - 0.5)
@@ -168,20 +176,14 @@ def reciprocal_gamma_log_signed(x):
     Zeros are reported as (-inf, 0.0).  Used by integrands that must stay in
     log scale.  Each element runs only its own branch: -log Gamma(x) for
     x > 0, the reflection form otherwise.  A scalar comes back as a pair of
-    floats, equal bit for bit to the array path's elements.
+    floats, the elements of the one-element array.
     """
-    if np.isscalar(x) or np.ndim(x) == 0:
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"reciprocal_gamma_log_signed requires finite x, got {x!r}")
-        if x > 0.0:
-            return -float(_log_gamma_scalar(x, np.log)), 1.0
-        s = float(_sinpi(x))
-        if s == 0.0:
-            return -math.inf, 0.0
-        lg = _log_gamma_scalar(1.0 - x, np.log)
-        return float(np.log(abs(s)) - math.log(math.pi) + lg), math.copysign(1.0, s)
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"reciprocal_gamma_log_signed requires finite x, got {x!r}")
+    if arr.ndim == 0:
+        log_abs, sign = reciprocal_gamma_log_signed(arr.reshape(1))
+        return float(log_abs[0]), float(sign[0])
     pos = arr > 0.0
     if pos.all():
         return -log_gamma(arr), np.ones_like(arr)
@@ -191,8 +193,11 @@ def reciprocal_gamma_log_signed(x):
     neg = ~pos
     xn = arr[neg]
     s = _sinpi(xn)
+    # Every x below -_LOG_GAMMA_MAX is an integer, a zero of 1/Gamma, so the
+    # cap changes no value.
+    lg = log_gamma(np.minimum(1.0 - xn, _LOG_GAMMA_MAX))
     with np.errstate(divide="ignore"):
-        log_abs[neg] = np.log(np.abs(s)) - math.log(math.pi) + log_gamma(1.0 - xn)
+        log_abs[neg] = np.log(np.abs(s)) - math.log(math.pi) + lg
     sign[neg] = np.sign(s)
     return log_abs, sign
 
@@ -250,8 +255,12 @@ def digamma_inverse(t):
     Newton's method from the start point of Minka, "Estimating a Dirichlet
     distribution" (2000); a step that would leave y > 0 halves y instead.
     Convergence is quadratic: the step after one below 1e-8 is at rounding.
+    Above ln(max float) the root overflows; below -1e150 it lies under
+    1e-150, where the trigamma step underflows.
     """
     t = float(t)
+    if not -1e150 <= t <= _LOG_FLOAT_MAX:
+        raise DomainError(f"digamma_inverse requires -1e150 <= t <= {_LOG_FLOAT_MAX!r}, got {t!r}")
     y = math.exp(t) + 0.5 if t >= -2.22 else -1.0 / (t - _digamma_scalar(1.0))
     for _ in range(60):
         step = (_digamma_scalar(y) - t) / _trigamma_scalar(y)
@@ -264,12 +273,22 @@ def digamma_inverse(t):
 def complex_pow(w, E):
     """Principal-branch w**E: |w|^E * exp(i E Arg w), Arg in (-pi, pi].
 
-    w = 0 maps to 0 for E > 0 and is a domain error otherwise.
+    w = 0 maps to 0 for E > 0 and is a domain error otherwise.  A power
+    that overflows raises NonFinite.
     """
     E = float(E)
     w = complex(w)
+    if not (cmath.isfinite(w) and math.isfinite(E)):
+        raise DomainError(f"complex_pow requires finite w and E, got w = {w!r}, E = {E!r}")
     if w == 0:
         if E > 0.0:
             return 0j
         raise DomainError("complex_pow(0, E) requires E > 0")
-    return cmath.exp(E * cmath.log(w))
+    try:
+        value = cmath.exp(E * cmath.log(w))
+        finite = cmath.isfinite(value)
+    except (OverflowError, ValueError):  # ValueError: an exponent of inf+infj
+        finite = False
+    if not finite:
+        raise NonFinite(f"complex_pow({w!r}, {E!r}) overflows")
+    return value

@@ -112,9 +112,8 @@ def test_eval_gnu_complex_scalar(capsys):
 
 
 def test_eval_nu_alpha_requires_alpha(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "nu-alpha", "--z", "1"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "eval", "nu-alpha", "--z", "1")
+    assert (code, out, err) == (2, "", "usage error: --alpha is required for 'nu-alpha'\n")
 
 
 def test_eval_overlap_scalar_only(capsys):
@@ -172,9 +171,14 @@ def test_eval_density_and_poisson(capsys):
     fields = out.strip().splitlines()[1].split(",")
     expect = math.exp(-3.0) * 9.0 / 2.0
     assert math.isclose(float(fields[1]), expect, rel_tol=1e-14)
-    for n in ("inf", "nan"):
+    # A count that is not an integer names itself instead of being rounded.
+    for n in ("inf", "nan", "2.5"):
         code, out, err = run_cli(capsys, "eval", "poisson", "--zsq", "1", "--n", n)
-        assert (code, out) == (2, "") and err.startswith("usage error: ")
+        expect = f"usage error: --n: poisson needs an integer n, got {float(n)}\n"
+        assert (code, out, err) == (2, "", expect)
+    code, out, err = run_cli(capsys, "table", "poisson", "--zsq", "1", "--grid", "0:1:3")
+    expect = "usage error: --grid: poisson needs an integer n, got 0.5\n"
+    assert (code, out, err) == (2, "", expect)
 
 
 def test_eval_writes_out_file(tmp_path, capsys):
@@ -190,10 +194,9 @@ def test_eval_writes_out_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_table_requires_grid():
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "nu", "--z", "1"])
-    assert exc.value.code == 2
+def test_table_requires_grid(capsys):
+    code, out, err = run_cli(capsys, "table", "nu", "--z", "1")
+    assert (code, out, err) == (2, "", "usage error: table requires --grid\n")
 
 
 def test_table_matches_eval_with_grid(capsys):
@@ -334,18 +337,33 @@ def test_one_row_grid_prints_the_bytes_of_z(capsys, argv):
         assert by_grid == by_z and by_z.count("\n") == 2
 
 
-def test_bad_grid_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "nu", "--grid", "1:2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "nu", "--grid=-1:10:3:log"])
-    assert exc.value.code == 2
+def test_bad_grid_is_usage_error(capsys):
     # A count past the cap is refused before any row is allocated.
-    for grid in ("0:inf:3", "nan:1:3", "0:1:10000000000000"):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "nu", "--grid", grid])
-        assert exc.value.code == 2
+    for grid, message in (
+        ("1:2", "grid must be start:stop:count or start:stop:count:log"),
+        ("-1:10:3:log", "log grids require positive endpoints"),
+        ("0:inf:3", "grid endpoints must be finite"),
+        ("nan:1:3", "grid endpoints must be finite"),
+        ("0:1:10000000000000", "grid count must be between 1 and 100000, got 10000000000000"),
+    ):
+        code, out, err = run_cli(capsys, "table", "nu", f"--grid={grid}")
+        assert (code, out, err) == (2, "", f"usage error: --grid: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval", "gnu", "--z", "1+"], "--z"),
+        (["eval", "nu", "--z", "x"], "--z"),
+        (["eval", "gnu", "--p", "1", "--q", "1", "--a", "x", "--b", "2", "--z", "1"], "--a"),
+        (["eval", "overlap", "--bra", "1", "--ket", "1i+"], "--ket"),
+        (["doot", "--expr", "1", "--bra", "1+", "--ket", "1"], "--bra"),
+    ],
+)
+def test_flag_value_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"usage error: {flag}: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +491,9 @@ def test_doot_parse_error_exits_two(capsys):
     assert "parse error" in err and "position" in err
 
 
-def test_doot_symbolic_label_requires_z():
-    with pytest.raises(SystemExit) as exc:
-        main(["doot", "--expr", "1", "--bra", "z", "--ket", "z"])
-    assert exc.value.code == 2
+def test_doot_symbolic_label_requires_z(capsys):
+    code, out, err = run_cli(capsys, "doot", "--expr", "1", "--bra", "z", "--ket", "z")
+    assert (code, out, err) == (2, "", "usage error: --bra='z' requires --z\n")
 
 
 def test_doot_byte_identical_runs(capsys):

@@ -398,6 +398,13 @@ def test_formal_series_rejects_s_at_zero():
         check_formal_series_4_21(0.0, 10)
 
 
+@pytest.mark.parametrize("s, L", [(1e300, 3), (1e160, 2), (1e103, 3)])
+def test_formal_series_rejects_an_overflowing_power_of_s(s, L):
+    message = f"formal series check requires a finite s**L, got s={s!r}, L={L}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        check_formal_series_4_21(s, L)
+
+
 def test_formal_series_rejects_bad_truncation_order():
     for L in (2.7, math.nan, math.inf):
         with pytest.raises(DomainError, match="^truncation order L must be an integer"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from nufunc.errors import DomainError
+from nufunc.errors import DomainError, NonFinite
 from nufunc.special import (
     _digamma_scalar,
     _trigamma_scalar,
@@ -65,6 +65,8 @@ def test_log_gamma_rejects_nonpositive_and_nonfinite():
         with pytest.raises(DomainError, match=r"^log_gamma requires x > 0, got array\("):
             log_gamma(arr)
     assert log_gamma(np.array([])).tolist() == []
+    # The largest accepted argument, just below the overflow of ln Gamma.
+    assert log_gamma(2.5e305) == log_gamma(np.array([2.5e305]))[0] < math.inf
 
 
 def test_digamma_reference_points():
@@ -86,6 +88,10 @@ def test_digamma_inverse_roundtrip():
     for t in np.linspace(-20.0, 20.0, 81):
         y = digamma_inverse(t)
         assert _digamma_scalar(y) == pytest.approx(t, abs=1e-12)
+    # The ends of the accepted range: the largest float and 1e-150.
+    largest = np.finfo(float).max
+    assert digamma_inverse(math.log(largest)) == pytest.approx(largest, rel=1e-13)
+    assert digamma_inverse(-1e150) == pytest.approx(1e-150, rel=1e-15)
 
 
 def test_trigamma_matches_reference_library_on_log_grid():
@@ -128,6 +134,9 @@ def test_reciprocal_gamma_log_signed_consistency():
     assert list(s) == [-1.0, 1.0, -1.0, 1.0]
     la0, s0 = reciprocal_gamma_log_signed(np.array([-3.0]))
     assert s0[0] == 0.0 and la0[0] == -math.inf
+    # Every float below -2**53 is an integer, a zero of 1/Gamma.
+    la, s = reciprocal_gamma_log_signed(np.array([-1e308, -2.0**53]))
+    assert la.tolist() == [-math.inf, -math.inf] and s.tolist() == [0.0, 0.0]
 
 
 def test_reciprocal_gamma_log_signed_scalar_branch_matches_array():
@@ -182,3 +191,43 @@ def test_complex_pow_principal_branch():
     assert complex_pow(0.0, 1.5) == 0j
     with pytest.raises(DomainError):
         complex_pow(0.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message",
+    [
+        (log_gamma, (1e308,), DomainError, r"^log_gamma requires x <= 2.5e\+305, got 1e\+308$"),
+        (log_gamma, (np.array([1e308]),), DomainError, r"^log_gamma requires x <= 2.5e\+305, got array\("),
+        (digamma_inverse, (800.0,), DomainError, r"^digamma_inverse requires .*, got 800.0$"),
+        (digamma_inverse, (-math.inf,), DomainError, r"^digamma_inverse requires .*, got -inf$"),
+        (digamma_inverse, (-1e300,), DomainError, r"^digamma_inverse requires .*, got -1e\+300$"),
+        (digamma_inverse, (math.nan,), DomainError, r"^digamma_inverse requires .*, got nan$"),
+        (
+            reciprocal_gamma_log_signed, (np.array([-np.inf]),),
+            DomainError,
+            r"^reciprocal_gamma_log_signed requires finite x, got array\(\[-inf",
+        ),
+        (
+            reciprocal_gamma_log_signed, (np.array([np.nan, 1.0]),),
+            DomainError,
+            r"^reciprocal_gamma_log_signed requires finite x, got array\(\[nan",
+        ),
+        (
+            reciprocal_gamma_log_signed, (math.nan,),
+            DomainError,
+            r"^reciprocal_gamma_log_signed requires finite x",
+        ),
+        (
+            complex_pow, (complex("inf"), 1.0),
+            DomainError,
+            r"^complex_pow requires finite w and E, got w = \(inf",
+        ),
+        (complex_pow, (2.0, math.nan), DomainError, r"^complex_pow requires finite w and E, .*E = nan$"),
+        (complex_pow, (1e308, 2.0), NonFinite, r"^complex_pow\(\(1e\+308\+0j\), 2.0\) overflows$"),
+        (complex_pow, (1e300 + 1e300j, 1e308), NonFinite, r"overflows$"),
+    ],
+)
+def test_extreme_arguments_raise_a_library_error_naming_them(fn, args, error, message):
+    # Neither a bare OverflowError nor a RuntimeWarning, nor a value that is not finite.
+    with pytest.raises(error, match=message):
+        fn(*args)
