@@ -351,6 +351,25 @@ def test_bad_grid_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "nu", "--grid=0:1:3:lin"], "--grid: unknown grid scale 'lin' (only 'log')"),
+        (["eval", "nu"], "--z (or --grid) is required for 'nu'"),
+        (
+            ["eval", "overlap", "--grid", "0:1:3", "--bra", "1", "--ket", "1"],
+            "--grid is not supported for 'overlap' (scalar labels only)",
+        ),
+        (["eval", "overlap", "--bra", "1"], "--bra and --ket are required for 'overlap'"),
+        (["eval", "density", "--E", "1"], "--zsq is required for 'density'"),
+        (["eval", "poisson", "--n", "1"], "--zsq is required for 'poisson'"),
+    ],
+    ids=["grid-scale", "nu-no-z", "overlap-grid", "overlap-no-ket", "density-no-zsq", "poisson-no-zsq"],
+)
+def test_missing_or_unsupported_flags_are_usage_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["eval", "gnu", "--z", "1+"], "--z"),
