@@ -97,10 +97,23 @@ def _real_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+_FAMILY_FLAGS = {"--p": 0, "--q": 0, "--a": "", "--b": ""}
+
+
 def _family(args) -> StructureFn:
     a = _flag_value("--a", _real_list, args.a)
     b = _flag_value("--b", _real_list, args.b)
-    return StructureFn(HyperParams(args.p, args.q, a, b))
+    try:
+        params = HyperParams(args.p, args.q, a, b)
+    except DomainError as exc:
+        raise ValueError(f"{'/'.join(_FAMILY_FLAGS)}: {exc}") from None
+    return StructureFn(params)
+
+
+def _spec(args) -> QuadSpec:
+    if args.tol is not None and not args.tol > 0.0:
+        raise ValueError(f"--tol must be > 0, got {args.tol}")
+    return QuadSpec() if args.tol is None else QuadSpec(rel_tol=args.tol)
 
 
 def _emit(text: str, out_path) -> None:
@@ -130,43 +143,42 @@ def _rows_text(rows, fmt: str) -> str:
 
 
 def _eval_rows(args) -> list:
-    spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
+    spec = _spec(args)
     fn = args.function
+    if fn in ("nu", "nu-alpha", "poisson"):
+        for flag, default in _FAMILY_FLAGS.items():
+            if getattr(args, flag[2:]) != default:
+                raise ValueError(f"{flag}: '{fn}' takes no family flags")
 
-    def inputs(default_flag, flag_name):
+    def inputs(default_flag, flag_name, parse=float):
         if args.grid is not None:
             return _flag_value("--grid", _parse_grid, args.grid)
         if default_flag is None:
             raise ValueError(f"{flag_name} (or --grid) is required for '{fn}'")
-        return np.array([_flag_value(flag_name, float, default_flag)])
+        v = _flag_value(flag_name, parse, default_flag)
+        return np.array([v if v.imag else v.real])  # a real value is a real row
 
     rows = []
-    if fn in ("nu", "gnu", "nu-alpha"):
+    if fn in ("nu", "gnu", "nu-alpha", "pfq"):
         if fn == "nu-alpha" and args.alpha is None:
             raise ValueError("--alpha is required for 'nu-alpha'")
-        sf = _family(args) if fn == "gnu" else StructureFn(HyperParams(0, 0))
-        if fn == "gnu" and args.grid is None and args.z is not None:
-            w = _flag_value("--z", parse_complex_literal, args.z)
-            ws, xs = np.array([w if w.imag else w.real]), [abs(w)]  # a real --z is a real row
+        family = fn in ("gnu", "pfq")
+        sf = _family(args) if family else StructureFn(HyperParams(0, 0))
+        ws = inputs(args.z, "--z", parse_complex_literal if family else float)
+        # A complex row prints |w|, by Python's abs: numpy's differs in the last bit.
+        xs = [abs(w) for w in ws.tolist()] if np.iscomplexobj(ws) else ws
+        if fn == "pfq":
+            for x, w in zip(xs, ws):
+                v = pfq_series(sf.params, w)
+                rows.append((x, v.real, v.imag, 0.0))
         else:
-            ws = xs = inputs(args.z, "--z")
-        for s in range(0, len(ws), _ROWS_PER_TREE):
-            chunk = ws[s : s + _ROWS_PER_TREE]
-            if fn == "nu-alpha":
-                res = nu_alpha_detailed(chunk, args.alpha, spec)
-            else:
-                res = nu_general_detailed(sf, chunk, spec)
-            rows += zip(xs[s:], np.real(res.value), np.imag(res.value), res.error_estimate)
-    elif fn == "pfq":
-        sf = _family(args)
-        if args.grid is None and args.z is not None:
-            w = _flag_value("--z", parse_complex_literal, args.z)
-            v = pfq_series(sf.params, w)
-            rows.append((abs(w), v.real, v.imag, 0.0))
-        else:
-            for w in inputs(args.z, "--z"):
-                v = pfq_series(sf.params, float(w))
-                rows.append((w, v.real, v.imag, 0.0))
+            for s in range(0, len(ws), _ROWS_PER_TREE):
+                chunk = ws[s : s + _ROWS_PER_TREE]
+                if fn == "nu-alpha":
+                    res = nu_alpha_detailed(chunk, args.alpha, spec)
+                else:
+                    res = nu_general_detailed(sf, chunk, spec)
+                rows += zip(xs[s:], np.real(res.value), np.imag(res.value), res.error_estimate)
     elif fn == "overlap":
         if args.grid is not None:
             raise ValueError("--grid is not supported for 'overlap' (scalar labels only)")
@@ -214,7 +226,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_doot(args) -> int:
-    spec = QuadSpec(rel_tol=args.tol) if args.tol is not None else QuadSpec()
+    spec = _spec(args)
     z = _flag_value("--z", parse_complex_literal, args.z) if args.z is not None else None
 
     def label(text, flag):

@@ -56,11 +56,9 @@ def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
 
 
 def cs_coefficient_continuous(
-    sf: StructureFn, z: complex, E: float, spec: QuadSpec | None = None
+    sf: StructureFn, z: complex, E: float, spec: QuadSpec = QuadSpec()
 ) -> complex:
     """Continuous-label coefficient: z^E / sqrt(rho(E) * nu(|z|^2))."""
-    if spec is None:
-        spec = QuadSpec()
     if E < 0:
         raise DomainError(f"energy must be >= 0, got {E}")
     z = complex(z)

@@ -28,6 +28,7 @@ from .errors import DomainError, NuFuncError, UnsupportedFamily
 from .nu import (
     HyperParams,
     StructureFn,
+    _SF_PLAIN as _PLAIN,
     _integer,
     nu_alpha,
     nu_general,
@@ -55,8 +56,6 @@ __all__ = [
     "run_suite",
     "suite_passed",
 ]
-
-_PLAIN = StructureFn(HyperParams(0, 0))
 
 # Linear-space values of nu(w) overflow a double once ln(w) pushes the
 # integrand past exp(~709); outer integrals whose truncation point sends
@@ -106,10 +105,13 @@ def _finish(
     description: str,
     lhs,
     rhs,
-    tol: float,
+    tol: float | None,
+    default_tol: float,
     status: str,
     t0: float,
 ) -> IdentityReport:
+    """The report of a case; `tol` is the caller's, `default_tol` the case's own."""
+    tol = default_tol if tol is None else float(tol)
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -122,7 +124,7 @@ def _finish(
         rhs=rhs,
         abs_err=float(abs_err),
         rel_err=float(rel_err),
-        tol=float(tol),
+        tol=tol,
         passed=passed,
         status=status,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
@@ -148,13 +150,16 @@ def _weight_exponent(sf: StructureFn) -> float:
     )
 
 
-def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth=0.0, name="scale"):
-    """integral over t of exp(-t) * t**b * inner(t), b from the family.
+def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner=None, extra_growth=0.0, name="scale"):
+    """The real integral over t of exp(-t) * t**b * inner(t), b from the family.
 
-    `inner` is a batched nu at t / x; `extra_growth` is the growth in t it
-    adds beyond exp(t / x) and t**b, which moves the truncation point T and
-    the peak out.  A T that sends the inner argument past _EXP_ARG_LIMIT
-    raises a DomainError naming the argument `name` = x."""
+    `inner` is a batched nu at t / x, by default the family's own;
+    `extra_growth` is the growth in t it adds beyond exp(t / x) and t**b,
+    which moves the truncation point T and the peak out.  A T that sends the
+    inner argument past _EXP_ARG_LIMIT raises a DomainError naming the
+    argument `name` = x."""
+    if inner is None:
+        inner = lambda t: nu_general(sf, t / x, spec).real  # noqa: E731
     bexp = _weight_exponent(sf)
     rate = 1.0 - 1.0 / x
     growth = max(bexp, 0.0) + extra_growth
@@ -176,14 +181,17 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner, extra_growth
             w = np.exp(-t + bexp * np.log(t))
         return w * inner(t)
 
-    return integrate_semi_infinite_detailed(f, probe, spec)
+    return complex(integrate_semi_infinite_detailed(f, probe, spec).value).real
 
 
-def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None = None) -> IdentityReport:
+def _log_gamma_ratio(lower, upper) -> float:
+    """ln(prod Gamma(lower) / prod Gamma(upper))."""
+    return sum(math.lgamma(v) for v in lower) - sum(math.lgamma(v) for v in upper)
+
+
+def check_laplace_nu(s: float, spec: QuadSpec = QuadSpec(), tol: float | None = None) -> IdentityReport:
     """Exponential transform of nu: integral of exp(-s*t) * nu(t) vs 1/(s ln s)."""
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 1e-6 if tol is None else float(tol)
     s = float(s)
     if not (s > 1.0 and math.isfinite(s)):
         raise DomainError(
@@ -192,41 +200,34 @@ def check_laplace_nu(s: float, spec: QuadSpec | None = None, tol: float | None =
             "integral of a positive function cannot)"
         )
     # t = u/s turns the transform into 4.18's integral at scale s, over s.
-    res = _weighted_lhs(_PLAIN, s, spec, lambda u: nu_general(_PLAIN, u / s, spec).real, name="s")
-    lhs = complex(res.value).real / s
+    lhs = _weighted_lhs(_PLAIN, s, spec, name="s") / s
     rhs = 1.0 / (s * math.log(s))
     description = (
         f"exponential transform of nu at s={s:g}: nested quadrature vs "
         "1/(s ln s)"
     )
-    return _finish("4.19", description, lhs, rhs, tol, "exact", t0)
+    return _finish("4.19", description, lhs, rhs, tol, 1e-6, "exact", t0)
 
 
 def check_weighted_nu_integral(
-    sf: StructureFn, x: float, spec: QuadSpec | None = None, tol: float | None = None
+    sf: StructureFn, x: float, spec: QuadSpec = QuadSpec(), tol: float | None = None
 ) -> IdentityReport:
     """Elementary-weight integral of the family nu vs its gamma-ratio closed form."""
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 1e-6 if tol is None else float(tol)
     x = float(x)
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"weighted integral requires x > 1, got x={x!r}")
-    res = _weighted_lhs(sf, x, spec, lambda t: nu_general(sf, t / x, spec).real)
-    lhs = complex(res.value).real
-    log_norm = sum(math.lgamma(bj) for bj in sf.params.b) - sum(
-        math.lgamma(ai) for ai in sf.params.a
-    )
-    rhs = math.exp(log_norm) / math.log(x)
+    lhs = _weighted_lhs(sf, x, spec)
+    rhs = math.exp(_log_gamma_ratio(sf.params.b, sf.params.a)) / math.log(x)
     description = (
         f"elementary-weight integral of the (p={sf.params.p}, q={sf.params.q}) "
         f"family nu at x={x:g}: quadrature vs gamma-ratio / ln x"
     )
-    return _finish("4.18", description, lhs, rhs, tol, "exact", t0)
+    return _finish("4.18", description, lhs, rhs, tol, 1e-6, "exact", t0)
 
 
 def check_eq_4_20(
-    b: float, x: float, spec: QuadSpec | None = None, tol: float | None = None
+    b: float, x: float, spec: QuadSpec = QuadSpec(), tol: float | None = None
 ) -> IdentityReport:
     """Power-weighted integral of the single-pair family nu vs gamma(b+1)/ln x.
 
@@ -237,8 +238,6 @@ def check_eq_4_20(
     the stated right-hand side.
     """
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 1e-6 if tol is None else float(tol)
     b = float(b)
     x = float(x)
     if not (b > -1.0 and math.isfinite(b)):
@@ -246,8 +245,7 @@ def check_eq_4_20(
     if not (x > 1.0 and math.isfinite(x)):
         raise DomainError(f"power-weighted integral requires x > 1, got x={x!r}")
     sf = StructureFn(HyperParams(1, 1, (1.0,), (b + 1.0,)))
-    res = _weighted_lhs(sf, x, spec, lambda t: nu_general(sf, t / x, spec).real)
-    lhs_norm = complex(res.value).real
+    lhs_norm = _weighted_lhs(sf, x, spec)
     gamma_b1 = math.gamma(b + 1.0)
     lhs_unnorm = lhs_norm / gamma_b1
     rhs = gamma_b1 / math.log(x)
@@ -258,14 +256,14 @@ def check_eq_4_20(
         f"{lhs_unnorm:.12g} (equal to 1/ln x = {1.0 / math.log(x):.12g}); "
         "the normalized form is the one satisfying the stated right-hand side"
     )
-    return _finish("4.20", description, lhs_norm, rhs, tol, "exact", t0)
+    return _finish("4.20", description, lhs_norm, rhs, tol, 1e-6, "exact", t0)
 
 
 def check_eq_4_22(
     sf: StructureFn,
     C: float,
     alpha: float,
-    spec: QuadSpec | None = None,
+    spec: QuadSpec = QuadSpec(),
     tol: float | None = None,
 ) -> IdentityReport:
     """Shift-parameter weighted integral vs its shifted-family closed form.
@@ -279,8 +277,6 @@ def check_eq_4_22(
     prod (a+alpha)_E / prod (b+alpha)_E.
     """
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 1e-6 if tol is None else float(tol)
     C = float(C)
     alpha = float(alpha)
     bexp = _weight_exponent(sf)
@@ -297,16 +293,13 @@ def check_eq_4_22(
         )
 
     # Left side: outer t-integral with the batched two-argument nu.
-    res = _weighted_lhs(
+    lhs = _weighted_lhs(
         sf, C, spec, lambda t: nu_alpha(t / C, alpha, spec), max(alpha, 0.0)
     )
-    lhs = complex(res.value).real
 
     # Right side: shifted prefactor times the shifted family's nu at 1/C,
     # a unit-disc family at an argument inside the disc.
-    log_pref = sum(math.lgamma(v) for v in shifted_b) - sum(
-        math.lgamma(v) for v in shifted_a
-    )
+    log_pref = _log_gamma_ratio(shifted_b, shifted_a)
     shifted = StructureFn(
         HyperParams(sf.params.q + 1, sf.params.p, [1.0] + shifted_b, shifted_a)
     )
@@ -317,7 +310,7 @@ def check_eq_4_22(
         f"alpha={alpha:g}, C={C:g}): nested quadrature vs the shifted-family "
         "closed-form route"
     )
-    return _finish("4.22", description, lhs, rhs, tol, "exact", t0)
+    return _finish("4.22", description, lhs, rhs, tol, 1e-6, "exact", t0)
 
 
 def _angular_kernel(g, E, F):
@@ -351,7 +344,7 @@ def _sinc_kernel(E, F):
 
 
 def check_complex_gaussian(
-    x, y, spec: QuadSpec | None = None, tol: float | None = None
+    x, y, spec: QuadSpec = QuadSpec(), tol: float | None = None
 ) -> IdentityReport:
     """Gaussian-weighted planar product of two nu factors vs nu(x*y).
 
@@ -363,8 +356,6 @@ def check_complex_gaussian(
     so the residual is the identity's own, not quadrature error.
     """
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 1e-4 if tol is None else float(tol)
     x = complex(x)
     y = complex(y)
     if not (abs(x) <= 1.0 and abs(y) <= 1.0):  # NaN fails here too
@@ -412,11 +403,11 @@ def check_complex_gaussian(
         "the point mass delta(E-F), so the residual is the identity's own, "
         "not discretization error"
     )
-    return _finish("4.23", description, lhs, rhs, tol, "exact", t0)
+    return _finish("4.23", description, lhs, rhs, tol, 1e-4, "exact", t0)
 
 
 def check_derivative_relation(
-    z: float, n: int, spec: QuadSpec | None = None, tol: float | None = None
+    z: float, n: int, spec: QuadSpec = QuadSpec(), tol: float | None = None
 ) -> IdentityReport:
     """n-th derivative of nu by central differences vs the two-argument nu at -n.
 
@@ -424,14 +415,12 @@ def check_derivative_relation(
     The five points are one batched nu call, on one probe and panel tree, so
     their quadrature errors are alike and cancel in the differences."""
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
     z = float(z)
     n = _integer(n, "derivative order n")
     if n not in (1, 2):
         raise DomainError(f"derivative check supports n in {{1, 2}}, got n={n}")
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"derivative check requires z > 0, got z={z!r}")
-    tol = (1e-5 if n == 1 else 1e-4) if tol is None else float(tol)
     h = 4e-3 * min(z, 1.0)
     values = nu_general(_PLAIN, z + h * np.arange(-2.0, 3.0), spec).real
     # (4 D(h) - D(2h)) / 3 for the central differences D at steps h and 2h.
@@ -442,11 +431,11 @@ def check_derivative_relation(
         f"order-{n} central difference of nu at z={z:g} (step {h:g}) vs the "
         f"two-argument nu at alpha={-n}"
     )
-    return _finish("1.6", description, lhs, rhs, tol, "exact", t0)
+    return _finish("1.6", description, lhs, rhs, tol, 1e-5 if n == 1 else 1e-4, "exact", t0)
 
 
 def check_formal_series_4_21(
-    s: float, L: int, spec: QuadSpec | None = None, tol: float | None = None
+    s: float, L: int, spec: QuadSpec = QuadSpec(), tol: float | None = None
 ) -> IdentityReport:
     """Truncated derivative expansion of a nested nu transform (diagnostic only).
 
@@ -458,8 +447,6 @@ def check_formal_series_4_21(
     trajectory without a hard verdict.
     """
     t0 = time.perf_counter()
-    spec = spec if spec is not None else QuadSpec()
-    tol = 0.0 if tol is None else float(tol)
     s = float(s)
     L = _integer(L, "truncation order L")
     if not (s > 0.0 and math.isfinite(s)):
@@ -473,10 +460,9 @@ def check_formal_series_4_21(
         raise DomainError(f"formal series check requires a finite s**L, got s={s!r}, L={L}")
 
     # exp(-s*t) <= 1 keeps the inner nu bounded: the scale is infinite.
-    res = _weighted_lhs(
+    lhs = _weighted_lhs(
         _PLAIN, math.inf, spec, lambda t: nu_general(_PLAIN, np.exp(-s * t), spec).real
     )
-    lhs = complex(res.value).real
 
     def g(E):
         E = np.asarray(E, dtype=float)
@@ -506,7 +492,7 @@ def check_formal_series_4_21(
         f"truncated derivative expansion at s={s:g}, order L={L}: partial "
         f"sums {trajectory} against the transform value {lhs:.9g}; {tail_note}"
     )
-    return _finish(f"4.21-s{s:g}", description, lhs, rhs, tol, "formal", t0)
+    return _finish(f"4.21-s{s:g}", description, lhs, rhs, tol, 0.0, "formal", t0)
 
 
 # (id, runner(spec, tol_override) -> IdentityReport), in id order.
@@ -524,7 +510,7 @@ _REGISTRY = (
 
 def run_suite(
     filter: str | None = None,
-    spec: QuadSpec | None = None,
+    spec: QuadSpec = QuadSpec(),
     tol: float | None = None,
 ) -> list:
     """Run every registered case whose id contains `filter` (all when None).
@@ -533,7 +519,6 @@ def run_suite(
     itself never raises.  `tol` overrides each exact case's registered
     tolerance (formal cases stay diagnostic).
     """
-    spec = spec if spec is not None else QuadSpec()
     reports = []
     for case_id, runner in _REGISTRY:
         if filter is not None and filter not in case_id:
@@ -544,8 +529,7 @@ def run_suite(
         except Exception as exc:  # never abort the suite on one case
             kind = type(exc).__name__ if isinstance(exc, NuFuncError) else "Exception"
             description = f"case raised {kind}: {exc}"
-            tol_or_nan = math.nan if tol is None else tol
-            reports.append(_finish(case_id, description, math.nan, math.nan, tol_or_nan, "error", t0))
+            reports.append(_finish(case_id, description, math.nan, math.nan, tol, math.nan, "error", t0))
     return reports
 
 

@@ -40,9 +40,8 @@ from .quadrature import (
     locate_peak,
 )
 from .special import (
-    _digamma_scalar,
     _log_gamma_scalar,
-    _trigamma_scalar,
+    _polygamma_scalar,
     digamma_inverse,
     log_gamma,
     reciprocal_gamma_log_signed,
@@ -130,14 +129,16 @@ class StructureFn:
             out = out - (lg[k] - c)
         return out
 
-    def _log_rho_derivative(self, E: float, polygamma=_digamma_scalar) -> float:
-        """d/dE ln rho(E); the second derivative with `_trigamma_scalar`."""
-        out = polygamma(E + 1.0)
+    def _log_rho_derivatives(self, E: float) -> tuple:
+        """The first and second derivatives of ln rho at E."""
+        d1, d2 = _polygamma_scalar(E + 1.0)
         for bj, _ in self._b_terms:
-            out += polygamma(bj + E)
+            p1, p2 = _polygamma_scalar(bj + E)
+            d1, d2 = d1 + p1, d2 + p2
         for ai, _ in self._a_terms:
-            out -= polygamma(ai + E)
-        return out
+            p1, p2 = _polygamma_scalar(ai + E)
+            d1, d2 = d1 - p1, d2 - p2
+        return d1, d2
 
     def log_rho_scalar(self, E: float) -> float:
         E = float(E)
@@ -234,8 +235,8 @@ def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
     # g' > 0 at lo (none known while lo = -1); the peak lies below hi.
     x, lo, hi = hint, -1.0, _TRUNCATION_CLAMP
     for _ in range(60):
-        d1 = log_r - sf._log_rho_derivative(x)
-        d2 = -sf._log_rho_derivative(x, _trigamma_scalar)
+        r1, r2 = sf._log_rho_derivatives(x)
+        d1, d2 = log_r - r1, -r2
         if not d2 < 0.0:
             # No rise seen yet: g may be convex and falling from E = 0.
             return (lo < 0.0 and d1 < 0.0 and _convex_probe(sf, g, log_r)) or locate_peak(g, hint)
@@ -260,7 +261,7 @@ def _nu_probe(sf: StructureFn, log_r: float) -> IntegrandProbe:
     for k in range(60):
         if not x < T <= _TRUNCATION_CLAMP:
             break
-        h, d1 = g(T) - (peak - _LOG_DROP), log_r - sf._log_rho_derivative(T)
+        h, d1 = g(T) - (peak - _LOG_DROP), log_r - sf._log_rho_derivatives(T)[0]
         # Past the first step, h > 0 means an iterate crossed back.
         if not d1 < 0.0 or (k and h > 0.0):
             break
@@ -278,9 +279,10 @@ def _convex_probe(sf: StructureFn, g, log_r: float):
     convex and falling at an iterate."""
     T, h, peak = 0.0, _LOG_DROP, g(0.0)
     for _ in range(60):
-        d1 = log_r - sf._log_rho_derivative(T)
+        r1, r2 = sf._log_rho_derivatives(T)
+        d1 = log_r - r1
         # g'' is minus the trigamma sum.
-        if not (d1 < 0.0 and sf._log_rho_derivative(T, _trigamma_scalar) <= 0.0):
+        if not (d1 < 0.0 and r2 <= 0.0):
             return None
         step = -h / d1
         T += step if step > 1e-3 * T else 2.0 * step

@@ -6,8 +6,8 @@ sign only where one can be negative (1/Gamma left of the origin);
 linear-scale values only appear at the very end of a computation.
 `log_gamma` and `reciprocal_gamma_log_signed` accept either a Python float
 or a numpy array and return the matching kind, so the quadrature layer can
-evaluate integrands on whole node batches at once.  The scalar digamma and
-trigamma kernels serve the nu peak probe.
+evaluate integrands on whole node batches at once.  One scalar kernel gives
+digamma and trigamma together, for the nu peak probe and `digamma_inverse`.
 
 The log-gamma kernel is a fixed-coefficient rational (Lanczos-class)
 approximation with the coefficients embedded below, giving relative error
@@ -70,6 +70,9 @@ _LANCZOS_DEN = (
 
 _LANCZOS_NUM_REV = tuple(reversed(_LANCZOS_NUM))
 _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
+# (numerator, denominator) coefficient pairs for the scalar Horner loop.
+_LANCZOS_PAIRS = tuple(zip(_LANCZOS_NUM, _LANCZOS_DEN))
+_LANCZOS_PAIRS_REV = tuple(zip(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV))
 # ln Gamma(x) is 1.756e308 at this x and overflows a little above 2.556e305.
 _LOG_GAMMA_MAX = 2.5e305
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -120,21 +123,12 @@ def _log_gamma_scalar(x: float, log=math.log) -> float:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x > _LOG_GAMMA_MAX:
         raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
-    if x >= 1.0:
-        u = 1.0 / x
-        num = 0.0
-        for c in _LANCZOS_NUM_REV:
-            num = num * u + c
-        den = 0.0
-        for c in _LANCZOS_DEN_REV:
-            den = den * u + c
-    else:
-        num = 0.0
-        for c in _LANCZOS_NUM:
-            num = num * x + c
-        den = 0.0
-        for c in _LANCZOS_DEN:
-            den = den * x + c
+    # The polynomials run in 1/x from x = 1 up and in x below, as in _lanczos_sum_scaled.
+    t, pairs = (1.0 / x, _LANCZOS_PAIRS_REV) if x >= 1.0 else (x, _LANCZOS_PAIRS)
+    num = den = 0.0
+    for a, b in pairs:
+        num = num * t + a
+        den = den * t + b
     base = x + (_LANCZOS_G - 0.5)
     return (x - 0.5) * (log(base) - 1.0) + log(num / den)
 
@@ -173,7 +167,8 @@ def _sinpi(x):
 def reciprocal_gamma_log_signed(x):
     """(log magnitude, sign) of 1/Gamma(x) for any finite real x (array-capable).
 
-    Zeros are reported as (-inf, 0.0).  Used by integrands that must stay in
+    Zeros are reported as (-inf, 0.0), and above 2.5e305, where 1/Gamma
+    underflows to +0, as (-inf, 1.0).  Used by integrands that must stay in
     log scale.  Each element runs only its own branch: -log Gamma(x) for
     x > 0, the reflection form otherwise.  A scalar comes back as a pair of
     floats, the elements of the one-element array.
@@ -184,6 +179,9 @@ def reciprocal_gamma_log_signed(x):
     if arr.ndim == 0:
         log_abs, sign = reciprocal_gamma_log_signed(arr.reshape(1))
         return float(log_abs[0]), float(sign[0])
+    if arr.max(initial=0.0) > _LOG_GAMMA_MAX:
+        log_abs, sign = reciprocal_gamma_log_signed(np.minimum(arr, _LOG_GAMMA_MAX))
+        return np.where(arr > _LOG_GAMMA_MAX, -math.inf, log_abs), sign
     pos = arr > 0.0
     if pos.all():
         return -log_gamma(arr), np.ones_like(arr)
@@ -211,42 +209,30 @@ _DIGAMMA_ASYMPTOTIC = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
-_DIGAMMA_ASYMPTOTIC_REV = tuple(reversed(_DIGAMMA_ASYMPTOTIC))
-# Coefficient k of the digamma series is B_2k / 2k; trigamma's is B_2k.
-_TRIGAMMA_ASYMPTOTIC_REV = tuple(
-    2.0 * k * c for k, c in zip(range(len(_DIGAMMA_ASYMPTOTIC), 0, -1), _DIGAMMA_ASYMPTOTIC_REV)
+# (digamma, trigamma) coefficient pairs, highest order first: coefficient k
+# of the digamma series is B_2k / 2k, trigamma's is B_2k.
+_POLYGAMMA_ASYMPTOTIC_REV = tuple(
+    (c, 2.0 * k * c) for k, c in zip(range(len(_DIGAMMA_ASYMPTOTIC), 0, -1), reversed(_DIGAMMA_ASYMPTOTIC))
 )
 
 
-def _digamma_scalar(x: float) -> float:
-    """psi(x) for x > 0, absolute error <= 1e-12: the recurrence
-    psi(x) = psi(x+1) - 1/x lifts x to >= 10, the Bernoulli series finishes."""
+def _polygamma_scalar(x: float) -> tuple:
+    """(psi(x), psi'(x)) for x > 0, psi to absolute error <= 1e-12: the
+    recurrence psi(x) = psi(x+1) - 1/x lifts x to >= 10, the Bernoulli
+    series finishes, and both are differentiated for psi'."""
     if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
-    acc = 0.0
+        raise DomainError(f"polygamma requires x > 0, got {x!r}")
+    acc = acc1 = 0.0
     while x < 10.0:
         acc -= 1.0 / x
+        acc1 += 1.0 / (x * x)
         x += 1.0
     u = 1.0 / (x * x)
-    tail = 0.0
-    for c in _DIGAMMA_ASYMPTOTIC_REV:
+    tail = tail1 = 0.0
+    for c, c1 in _POLYGAMMA_ASYMPTOTIC_REV:
         tail = tail * u + c
-    return acc + math.log(x) - 0.5 / x - u * tail
-
-
-def _trigamma_scalar(x: float) -> float:
-    """psi'(x) for x > 0: _digamma_scalar's recurrence and series, differentiated."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"trigamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < 10.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    u = 1.0 / (x * x)
-    tail = 0.0
-    for c in _TRIGAMMA_ASYMPTOTIC_REV:
-        tail = tail * u + c
-    return acc + (1.0 + 0.5 / x + u * tail) / x
+        tail1 = tail1 * u + c1
+    return acc + math.log(x) - 0.5 / x - u * tail, acc1 + (1.0 + 0.5 / x + u * tail1) / x
 
 
 def digamma_inverse(t):
@@ -261,9 +247,10 @@ def digamma_inverse(t):
     t = float(t)
     if not -1e150 <= t <= _LOG_FLOAT_MAX:
         raise DomainError(f"digamma_inverse requires -1e150 <= t <= {_LOG_FLOAT_MAX!r}, got {t!r}")
-    y = math.exp(t) + 0.5 if t >= -2.22 else -1.0 / (t - _digamma_scalar(1.0))
+    y = math.exp(t) + 0.5 if t >= -2.22 else -1.0 / (t - _polygamma_scalar(1.0)[0])
     for _ in range(60):
-        step = (_digamma_scalar(y) - t) / _trigamma_scalar(y)
+        psi, psi1 = _polygamma_scalar(y)
+        step = (psi - t) / psi1
         y = y - step if step < y else 0.5 * y
         if abs(step) <= 1e-8 * y:
             break

@@ -337,6 +337,25 @@ def test_one_row_grid_prints_the_bytes_of_z(capsys, argv):
         assert by_grid == by_z and by_z.count("\n") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, x",
+    [
+        (["eval", "nu", "--z=-2"], -2.0),
+        (["eval", "gnu", "--z=-2"], -2.0),
+        (["eval", "gnu", *FAMILY_TABLES[1][0], "--z=-0.5"], -0.5),
+        (["eval", "pfq", "--z=-2"], -2.0),
+        (["eval", "nu-alpha", "--alpha", "1", "--z", "2"], 2.0),
+        (["eval", "gnu", "--z=-3+4i"], 5.0),
+        (["eval", "pfq", "--z=3-4i"], 5.0),
+    ],
+    ids=["nu", "gnu", "gnu11", "pfq", "nu-alpha", "gnu-complex", "pfq-complex"],
+)
+def test_input_column_is_a_real_z_or_the_modulus_of_a_complex_one(capsys, argv, x):
+    # A real --z keeps its sign; a complex one prints |w|.
+    (row,) = _table_rows(capsys, *argv)
+    assert row[0] == x
+
+
 def test_bad_grid_is_usage_error(capsys):
     # A count past the cap is refused before any row is allocated.
     for grid, message in (
@@ -377,6 +396,13 @@ def test_missing_or_unsupported_flags_are_usage_errors(capsys, argv, message):
         (["eval", "gnu", "--p", "1", "--q", "1", "--a", "x", "--b", "2", "--z", "1"], "--a"),
         (["eval", "overlap", "--bra", "1", "--ket", "1i+"], "--ket"),
         (["doot", "--expr", "1", "--bra", "1+", "--ket", "1"], "--bra"),
+        # Family flags that HyperParams refuses, and family flags given to a
+        # function that takes no family.
+        (["eval", "gnu", "--p", "1", "--q", "1", "--a", "1,2", "--b", "2", "--z", "1"], "--p/--q/--a/--b"),
+        (["eval", "gnu", "--p", "1", "--q", "1", "--a", "-1", "--b", "2", "--z", "1"], "--p/--q/--a/--b"),
+        (["eval", "nu", "--p", "1", "--q", "1", "--a", "1", "--b", "2", "--z", "1"], "--p"),
+        (["eval", "nu-alpha", "--alpha", "1", "--b", "2", "--z", "1"], "--b"),
+        (["table", "poisson", "--zsq", "1", "--a", "1", "--grid", "0:2:3"], "--a"),
     ],
 )
 def test_flag_value_errors_name_the_flag(capsys, argv, flag):
@@ -526,14 +552,14 @@ def test_doot_byte_identical_runs(capsys):
 
 
 def test_zero_tolerance_is_usage_error(capsys):
-    # --tol 0 reaches QuadSpec like any other value instead of meaning "unset"
+    # --tol 0 is refused like any other value <= 0 instead of meaning "unset"
     for argv in (
         ("eval", "nu", "--z", "1", "--tol", "0"),
         ("doot", "--expr", "1", "--bra", "0.5", "--ket", "0.5", "--tol", "0"),
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "usage error: QuadSpec.rel_tol must be > 0" in err
+        assert run_cli(capsys, *argv) == (2, "", "usage error: --tol must be > 0, got 0.0\n")
+    code, out, err = run_cli(capsys, "eval", "nu", "--z", "1", "--tol=-1")
+    assert (code, out, err) == (2, "", "usage error: --tol must be > 0, got -1.0\n")
     # check's --tol is the identities' own tolerance: 0 asks for exact
     # agreement, while NaN or a negative value would fail every case.
     for tol in ("nan", "-1"):

@@ -8,8 +8,7 @@ from scipy import special as sp
 
 from nufunc.errors import DomainError, NonFinite
 from nufunc.special import (
-    _digamma_scalar,
-    _trigamma_scalar,
+    _polygamma_scalar,
     complex_pow,
     digamma_inverse,
     log_gamma,
@@ -69,25 +68,29 @@ def test_log_gamma_rejects_nonpositive_and_nonfinite():
     assert log_gamma(2.5e305) == log_gamma(np.array([2.5e305]))[0] < math.inf
 
 
+def _digamma(x):
+    return _polygamma_scalar(x)[0]
+
+
 def test_digamma_reference_points():
     euler_gamma = 0.5772156649015329
-    assert _digamma_scalar(1.0) == pytest.approx(-euler_gamma, abs=1e-13)
-    assert _digamma_scalar(0.5) == pytest.approx(-1.963510026021424, rel=1e-13)
+    assert _digamma(1.0) == pytest.approx(-euler_gamma, abs=1e-13)
+    assert _digamma(0.5) == pytest.approx(-1.963510026021424, rel=1e-13)
     x = np.linspace(0.1, 40.0, 80)
-    psi = np.array([_digamma_scalar(v) for v in x.tolist()])
+    psi = np.array([_digamma(v) for v in x.tolist()])
     assert np.allclose(psi, sp.digamma(x), rtol=1e-11, atol=1e-12)
 
 
 def test_digamma_rejects_nonpositive():
     for x in (0.0, -0.5, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            _digamma_scalar(x)
+        with pytest.raises(DomainError, match=r"^polygamma requires x > 0"):
+            _polygamma_scalar(x)
 
 
 def test_digamma_inverse_roundtrip():
     for t in np.linspace(-20.0, 20.0, 81):
         y = digamma_inverse(t)
-        assert _digamma_scalar(y) == pytest.approx(t, abs=1e-12)
+        assert _digamma(y) == pytest.approx(t, abs=1e-12)
     # The ends of the accepted range: the largest float and 1e-150.
     largest = np.finfo(float).max
     assert digamma_inverse(math.log(largest)) == pytest.approx(largest, rel=1e-13)
@@ -96,13 +99,13 @@ def test_digamma_inverse_roundtrip():
 
 def test_trigamma_matches_reference_library_on_log_grid():
     for x in np.geomspace(1e-3, 1e6, 181):
-        assert _trigamma_scalar(float(x)) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
+        assert _polygamma_scalar(float(x))[1] == pytest.approx(sp.polygamma(1, x), rel=1e-12)
 
 
 def test_trigamma_rejects_nonpositive_and_nonfinite():
     for x in (0.0, -0.5, -3.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            _trigamma_scalar(x)
+        with pytest.raises(DomainError, match=r"^polygamma requires x > 0"):
+            _polygamma_scalar(x)
 
 
 def _reciprocal_gamma(x):
@@ -137,6 +140,14 @@ def test_reciprocal_gamma_log_signed_consistency():
     # Every float below -2**53 is an integer, a zero of 1/Gamma.
     la, s = reciprocal_gamma_log_signed(np.array([-1e308, -2.0**53]))
     assert la.tolist() == [-math.inf, -math.inf] and s.tolist() == [0.0, 0.0]
+
+
+def test_reciprocal_gamma_log_signed_underflows_above_the_log_gamma_cap():
+    # Past 2.5e305, 1/Gamma underflows to +0: log magnitude -inf, sign +1.
+    la, s = reciprocal_gamma_log_signed(np.array([1e308, 2.5e305, 3e305, -1e308, -2.5]))
+    assert la[[0, 2, 3]].tolist() == [-math.inf] * 3 and s.tolist() == [1.0, 1.0, 1.0, 0.0, -1.0]
+    assert la[1] == -log_gamma(2.5e305) and la[4] == reciprocal_gamma_log_signed(-2.5)[0]
+    assert reciprocal_gamma_log_signed(1e308) == (-math.inf, 1.0)
 
 
 def test_reciprocal_gamma_log_signed_scalar_branch_matches_array():
