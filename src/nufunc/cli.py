@@ -111,8 +111,8 @@ def _family(args) -> StructureFn:
 
 
 def _spec(args) -> QuadSpec:
-    if args.tol is not None and not args.tol > 0.0:
-        raise ValueError(f"--tol must be > 0, got {args.tol}")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     return QuadSpec() if args.tol is None else QuadSpec(rel_tol=args.tol)
 
 

@@ -470,7 +470,7 @@ def check_formal_series_4_21(
         return np.exp(base[:, None] + ls[None, :] * np.log(E)[:, None])
 
     def log_top(E):
-        return L * math.log(E) - s * E - _log_gamma_scalar(E + 1.0, np.log)
+        return L * math.log(E) - s * E - _log_gamma_scalar(E + 1.0)
 
     probe_e = locate_peak(log_top, hint=max(1.0, L / (s + 1.0)))
     moments = integrate_vector_semi_infinite(g, probe_e, spec).value

@@ -40,6 +40,7 @@ from .quadrature import (
     locate_peak,
 )
 from .special import (
+    _LOG_GAMMA_MAX,
     _log_gamma_scalar,
     _polygamma_scalar,
     digamma_inverse,
@@ -75,7 +76,8 @@ _SERIES_CUTOFF = 1e-16
 class HyperParams:
     """Parameter set (p, q, {a_i}, {b_j}) of a hypergeometric-type family.
 
-    All entries must be positive; list lengths must equal p and q.
+    Entries must lie in (0, 2.5e305], where ln Gamma is finite; list
+    lengths must equal p and q.
     """
 
     p: int
@@ -93,8 +95,9 @@ class HyperParams:
                 f"HyperParams length mismatch: p={self.p} with {len(self.a)} "
                 f"upper entries, q={self.q} with {len(self.b)} lower entries"
             )
-        if any(v <= 0.0 or not math.isfinite(v) for v in self.a + self.b):
-            raise DomainError("HyperParams entries must be positive and finite")
+        bad = [v for v in self.a + self.b if not 0.0 < v <= _LOG_GAMMA_MAX]
+        if bad:
+            raise DomainError(f"HyperParams entries must lie in (0, {_LOG_GAMMA_MAX:g}], got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -312,10 +315,10 @@ def _nu_integral(probe, terms, c: np.ndarray, ws, spec: QuadSpec, name: str, alp
     all on one panel tree.  `terms(E)` gives the node terms: (L,) = (-ln rho,)
     for a family (alpha 0, sigma 1), or reciprocal_gamma_log_signed(alpha+E+1)
     = (L, sigma) for nu_alpha.  `shift` is nu_general_log's peak log value.
-    Panels are capped at 6 / max|Im c| to resolve the oscillation, or else,
-    when alpha <= -1/2, at 0.5 left of max(-alpha-1, 0) + 2, where 1/Gamma
-    changes sign.  ToleranceNotMet, led by `name`, names the first of `ws`
-    whose error estimate exceeds rel_tol*|value|, as a cancelling integrand's can.
+    Panels are capped at 6 / max|Im c| to resolve the oscillation; nu_alpha's
+    sign lobes need no cap.  ToleranceNotMet, led by `name`, names the first
+    of `ws` whose error estimate exceeds rel_tol*|value|, as a cancelling
+    integrand's can.
     """
 
     # Called with the nodes alone, as a tracer's wrapper does, f evaluates its terms.
@@ -337,11 +340,8 @@ def _nu_integral(probe, terms, c: np.ndarray, ws, spec: QuadSpec, name: str, alp
     # exp of a real exponent is >= 0, and so is 1/Gamma(alpha+E+1) for alpha > -1.
     f.nonnegative = alpha > -1.0 and not np.iscomplexobj(c)
     max_im = float(np.max(np.abs(c.imag))) if np.iscomplexobj(c) else 0.0
-    if max_im > 1e-9:
-        max_width, cap_end = 6.0 / max_im, math.inf
-    else:
-        max_width, cap_end = (0.5 if alpha <= -0.5 else None), max(-alpha - 1.0, 0.0) + 2.0
-    res = integrate_vector_semi_infinite(f, probe, spec, max_width, cap_end, node_bytes=c.nbytes)
+    max_width = 6.0 / max_im if max_im > 1e-9 else None
+    res = integrate_vector_semi_infinite(f, probe, spec, max_width, c.nbytes)
     miss = res.error_estimate > spec.rel_tol * np.abs(res.value)
     if np.count_nonzero(miss):
         k = int(np.argmax(miss))
@@ -473,8 +473,8 @@ def nu_alpha(w, alpha: float, spec: QuadSpec):
 
     Defined for real w > 0 and any real alpha.  For alpha <= -1 the
     reciprocal gamma factor has zeros at E = -alpha-1-k >= 0 and the
-    integrand changes sign between them; panels are capped there so the
-    sign lobes are resolved.
+    integrand changes sign between them; the engine's K31 panels resolve
+    the sign lobes as they come, with no width cap.
     """
     return nu_alpha_detailed(w, alpha, spec).value.real
 

@@ -152,14 +152,14 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Relative tolerance and panel budget for the integration engine."""
+    """Relative tolerance (finite, > 0) and panel budget for the integration engine."""
 
     rel_tol: float = 1e-10
     max_panels: int = 4000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError("QuadSpec.rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("QuadSpec.rel_tol must be finite and > 0")
         if self.max_panels < 4:
             raise ValueError("QuadSpec.max_panels must be >= 4")
 
@@ -200,28 +200,22 @@ def locate_peak(log_integrand, hint) -> IntegrandProbe:
     f = log_integrand
     x0 = min(max(float(hint), 1e-6), 1e5)
 
-    # March right while the integrand keeps climbing.
-    fx0 = f(x0)
-    right, f_right = x0, fx0
-    nxt = 2.0 * x0
-    while nxt <= _TRUNCATION_CLAMP:
-        fn = f(nxt)
-        if not (fn > f_right):
-            break
-        right, f_right = nxt, fn
-        nxt *= 2.0
-    else:
-        raise NonDecaying("log-integrand still increasing at the 1e6 clamp")
+    def march(x, fx, factor, inside):
+        """Step x by `factor` while the integrand keeps climbing: the last
+        point, its value, and whether the climb left `inside`."""
+        while inside(nxt := x * factor):
+            fn = f(nxt)
+            if not (fn > fx):
+                return x, fx, False
+            x, fx = nxt, fn
+        return x, fx, True
 
-    # March left likewise (down to essentially zero).
-    left, f_left = x0, fx0
-    prev = 0.5 * x0
-    while prev >= 1e-12:
-        fp = f(prev)
-        if not (fp > f_left):
-            break
-        left, f_left = prev, fp
-        prev *= 0.5
+    # March right, then left (down to essentially zero).
+    fx0 = f(x0)
+    right, f_right, clamped = march(x0, fx0, 2.0, lambda x: x <= _TRUNCATION_CLAMP)
+    if clamped:
+        raise NonDecaying("log-integrand still increasing at the 1e6 clamp")
+    left, f_left, _ = march(x0, fx0, 0.5, lambda x: x >= 1e-12)
 
     # Best sampled point seeds a golden-section refinement on [a, c].
     if f_right >= f_left:
@@ -339,7 +333,7 @@ def _panel_values(f, a, b, per_call):
     return half * sums[:, 0], half * sums[:, 1], half * moduli
 
 
-def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf, rungs=_LADDER):
+def _initial_boundaries(probe: IntegrandProbe, max_panel_width, rungs=_LADDER):
     T = probe.truncation_point
     pts = {0.0, T}
     # Geometric ladder toward zero picks up sharply-varying behavior there.
@@ -353,18 +347,11 @@ def _initial_boundaries(probe: IntegrandProbe, max_panel_width, cap_end=math.inf
             v = pk * frac
             if 0.0 < v < T:
                 pts.add(v)
-    if max_panel_width is not None and 0.0 < cap_end < T:
-        pts.add(cap_end)
     bounds = sorted(pts)
     if max_panel_width is not None and max_panel_width > 0.0:
-        refined = [bounds[0]]
-        for right in bounds[1:]:
-            left = refined[-1]
-            n_cut = int(math.ceil((right - left) / max_panel_width)) if left < cap_end else 1
-            for k in range(1, n_cut):
-                refined.append(left + (right - left) * k / n_cut)
-            refined.append(right)
-        bounds = refined
+        # Each gap splits into the fewest equal panels no wider than the cap.
+        gaps = [(a, b, math.ceil((b - a) / max_panel_width)) for a, b in zip(bounds, bounds[1:])]
+        bounds = [a + (b - a) * k / n for a, b, n in gaps for k in range(n)] + [T]
     return bounds
 
 
@@ -378,18 +365,16 @@ def _per_call(node_bytes):
     return max(_CALL_BYTES // (_KRONROD_NODES.size * node_bytes), 1)
 
 
-def _integrate_adaptive(
-    f, probe, spec, max_panel_width=None, node_bytes=None, cap_end=math.inf, rungs=_LADDER
-):
+def _integrate_adaptive(f, probe, spec, max_panel_width=None, node_bytes=None, rungs=_LADDER):
     """Core adaptive engine over [0, probe.truncation_point].
 
     Returns the `IntegrationResult` of every component at once.
     `node_bytes`, when given, sizes the first level's calls; otherwise a
     call on one coarse panel alone measures it.  `max_panel_width` caps the
-    coarse panels that start left of `cap_end`.  `rungs` is the number of
-    coarse boundaries T/2, ..., T/2^rungs toward the origin.
+    width of every coarse panel.  `rungs` is the number of coarse
+    boundaries T/2, ..., T/2^rungs toward the origin.
     """
-    bounds = np.array(_initial_boundaries(probe, max_panel_width, cap_end, rungs))
+    bounds = np.array(_initial_boundaries(probe, max_panel_width, rungs))
     lo, hi = bounds[:-1], bounds[1:]
     T = probe.truncation_point
     per_call = None if node_bytes is None else _per_call(node_bytes)
@@ -502,13 +487,12 @@ def integrate_semi_infinite_detailed(
     return IntegrationResult(complex(res.value), float(res.error_estimate), res.panel_count)
 
 
-def integrate_vector_semi_infinite(
-    f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None, rungs=_LADDER
-):
+def integrate_vector_semi_infinite(f, probe, spec, max_panel_width=None, node_bytes=None, rungs=_LADDER):
     """As the scalar entry, for an f that maps nodes (n,) to values (n, m):
     one panel tree serves every component, each held to its own budget.
-    `node_bytes`, f's output bytes per node if known, sizes the first level."""
-    return _integrate_adaptive(f, probe, spec, max_panel_width, node_bytes, cap_end, rungs)
+    `max_panel_width` caps the coarse panels' width; `node_bytes`, f's
+    output bytes per node if known, sizes the first level."""
+    return _integrate_adaptive(f, probe, spec, max_panel_width, node_bytes, rungs)
 
 
 def integrate_polar_2d(g, spec: QuadSpec) -> complex:

@@ -112,12 +112,11 @@ def _lanczos_sum_scaled(x, x_min):
     return out
 
 
-def _log_gamma_scalar(x: float, log=math.log) -> float:
+def _log_gamma_scalar(x: float) -> float:
     """Pure-scalar log-gamma; the hot path for peak searches and probes.
 
-    With `log=np.log` the result equals the array path bit for bit: numpy's
-    vectorized log and the C library's differ in the last bit on about 0.1%
-    of arguments.
+    It takes libm's log, which differs from numpy's vectorized log of the
+    array path in the last bit on about 0.1% of arguments.
     """
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
@@ -130,7 +129,7 @@ def _log_gamma_scalar(x: float, log=math.log) -> float:
         num = num * t + a
         den = den * t + b
     base = x + (_LANCZOS_G - 0.5)
-    return (x - 0.5) * (log(base) - 1.0) + log(num / den)
+    return (x - 0.5) * (math.log(base) - 1.0) + math.log(num / den)
 
 
 def log_gamma(x):

@@ -403,6 +403,9 @@ def test_missing_or_unsupported_flags_are_usage_errors(capsys, argv, message):
         (["eval", "nu", "--p", "1", "--q", "1", "--a", "1", "--b", "2", "--z", "1"], "--p"),
         (["eval", "nu-alpha", "--alpha", "1", "--b", "2", "--z", "1"], "--b"),
         (["table", "poisson", "--zsq", "1", "--a", "1", "--grid", "0:2:3"], "--a"),
+        # Entries whose ln Gamma overflows a double.
+        (["eval", "gnu", "--q", "1", "--b", "1e306", "--z", "1"], "--p/--q/--a/--b"),
+        (["eval", "gnu", "--p", "1", "--q", "1", "--a", "1e306", "--b", "1", "--z", "1"], "--p/--q/--a/--b"),
     ],
 )
 def test_flag_value_errors_name_the_flag(capsys, argv, flag):
@@ -536,6 +539,12 @@ def test_doot_parse_error_exits_two(capsys):
     assert "parse error" in err and "position" in err
 
 
+def test_doot_family_beyond_log_gamma_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "doot", "--expr", "nu[0,1;;1e306](Am)", "--bra", "1", "--ket", "1")
+    assert (code, out) == (2, "")
+    assert err == "parse error: invalid family: HyperParams entries must lie in (0, 2.5e+305], got 1e+306 (at position 0)\n"
+
+
 def test_doot_symbolic_label_requires_z(capsys):
     code, out, err = run_cli(capsys, "doot", "--expr", "1", "--bra", "z", "--ket", "z")
     assert (code, out, err) == (2, "", "usage error: --bra='z' requires --z\n")
@@ -552,14 +561,18 @@ def test_doot_byte_identical_runs(capsys):
 
 
 def test_zero_tolerance_is_usage_error(capsys):
-    # --tol 0 is refused like any other value <= 0 instead of meaning "unset"
-    for argv in (
-        ("eval", "nu", "--z", "1", "--tol", "0"),
-        ("doot", "--expr", "1", "--bra", "0.5", "--ket", "0.5", "--tol", "0"),
-    ):
-        assert run_cli(capsys, *argv) == (2, "", "usage error: --tol must be > 0, got 0.0\n")
+    # --tol 0 is refused like any other value <= 0 instead of meaning "unset",
+    # and so is an infinite tolerance, which every panel would meet.
+    for tol in ("0", "inf"):
+        for argv in (
+            ("eval", "nu", "--z", "1", "--tol", tol),
+            ("table", "nu", "--grid", "0.5:1:2", "--tol", tol),
+            ("doot", "--expr", "1", "--bra", "0.5", "--ket", "0.5", "--tol", tol),
+        ):
+            message = f"usage error: --tol must be finite and > 0, got {float(tol)}\n"
+            assert run_cli(capsys, *argv) == (2, "", message)
     code, out, err = run_cli(capsys, "eval", "nu", "--z", "1", "--tol=-1")
-    assert (code, out, err) == (2, "", "usage error: --tol must be > 0, got -1.0\n")
+    assert (code, out, err) == (2, "", "usage error: --tol must be finite and > 0, got -1.0\n")
     # check's --tol is the identities' own tolerance: 0 asks for exact
     # agreement, while NaN or a negative value would fail every case.
     for tol in ("nan", "-1"):

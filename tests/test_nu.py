@@ -221,6 +221,11 @@ def test_hyperparams_validation():
         HyperParams(1, 0, (-1.0,), ())
     with pytest.raises(DomainError):
         HyperParams(0, 1, (), (0.0,))
+    # Entries whose ln Gamma would overflow, which StructureFn could not build.
+    for v in (1e306, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"^HyperParams entries must lie in \(0, 2.5e\+305\], got "):
+            HyperParams(1, 1, (1.0,), (v,))
+    StructureFn(HyperParams(1, 1, (2.5e305,), (1.0,)))
 
 
 def test_pfq_exponential_family():
@@ -269,11 +274,11 @@ def test_positive_batch_matches_scalar():
 
 
 @pytest.mark.parametrize("w, alpha", [(2.0, -1.5), (2.936, -2.0), (2.0, -0.6), (1.5, -3.7)])
-def test_nu_alpha_caps_panels_only_where_the_sign_changes(w, alpha):
-    # 1/Gamma(alpha+E+1) changes sign only for E < -alpha-1; 0.5-wide panels
-    # over all of [0, T] took 172-198 panels for these calls.
+def test_nu_alpha_resolves_sign_lobes_without_a_panel_cap(w, alpha):
+    # 1/Gamma(alpha+E+1) changes sign for E < -alpha-1, and the K31 panels
+    # resolve its lobes uncapped: each call is accepted on its 16 coarse panels.
     res = nu_alpha_detailed(w, alpha, SPEC)
-    assert res.panel_count <= 25
+    assert res.panel_count <= 16
     assert abs(res.value - nu_alpha_detailed(w, alpha, QuadSpec(rel_tol=1e-13)).value) <= res.error_estimate
 
 
@@ -398,8 +403,7 @@ HOISTED_TERMS = {
         lambda: nu_general_detailed(PLAIN, np.geomspace(1e-3, 300.0, 720), SPEC),
         StructureFn, "log_rho_continuous", 2, True,
     ),
-    # 1/Gamma(E - 0.5) changes sign at E = 0.5; the panels, 0.5 wide up to
-    # E = 2.5, pass at once.
+    # 1/Gamma(E - 0.5) changes sign at E = 0.5; the coarse panels pass at once.
     "nu_alpha": (
         lambda: nu_alpha_detailed(np.geomspace(1.5, 2.5, 720), -1.5, SPEC),
         NU_MODULE, "reciprocal_gamma_log_signed", 1, True,
@@ -443,9 +447,9 @@ def test_batched_integrand_evaluates_its_node_term_once_per_level(name, monkeypa
         g.node_terms = f.node_terms
         return panel_values(g, a, b, per_call)
 
-    def captured_engine(f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None):
-        out = engine(f, probe, spec, max_panel_width, cap_end, node_bytes)
-        engine_calls.append(((f, probe, SPEC, max_panel_width, cap_end), out))
+    def captured_engine(f, probe, spec, max_panel_width=None, node_bytes=None):
+        out = engine(f, probe, spec, max_panel_width, node_bytes)
+        engine_calls.append(((f, probe, SPEC, max_panel_width), out))
         return out
 
     monkeypatch.setattr(owner, attr, counted_term)

@@ -34,8 +34,9 @@ EPS = float(np.finfo(float).eps)
 
 
 def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(rel_tol=0.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^QuadSpec.rel_tol must be finite and > 0$"):
+            QuadSpec(rel_tol=tol)
     with pytest.raises(ValueError):
         QuadSpec(max_panels=2)
 
@@ -209,7 +210,7 @@ def test_endpoint_log_singularity_is_absorbed():
 # ---------------------------------------------------------------------------
 
 
-def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf, rungs=_LADDER):
+def _reference_adaptive(f, probe, spec, max_panel_width=None, rungs=_LADDER):
     """The depth-first engine: one integrand call per panel at its 31
     Kronrod nodes, recursing on a failing panel's halves before moving to
     the next, and on the rungs of a failing origin panel's ladder.  Kept as
@@ -225,7 +226,7 @@ def _reference_adaptive(f, probe, spec, max_panel_width=None, cap_end=math.inf, 
         modulus = half * np.tensordot(_KRONROD_WEIGHTS[0], np.abs(y), axes=(0, 0))
         return kronrod, np.maximum(np.abs(kronrod - gauss), EPS * modulus)
 
-    bounds = _initial_boundaries(probe, max_panel_width, cap_end, rungs)
+    bounds = _initial_boundaries(probe, max_panel_width, rungs)
     coarse = [panel(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     scale = np.abs(coarse[0][0])
     for c, _ in coarse[1:]:
@@ -280,14 +281,14 @@ def _bump(t):
 
 
 def _single_engine_call(evaluate):
-    """The one-row integrand, probe, panel cap and cap end that a single
+    """The one-row integrand, probe and panel width cap that a single
     evaluator call hands the engine."""
     nu_module = importlib.import_module("nufunc.nu")
     seen = []
 
-    def capture(f, probe, spec, max_panel_width=None, cap_end=math.inf, node_bytes=None):
-        seen.append((f, probe, max_panel_width, cap_end))
-        return integrate_vector_semi_infinite(f, probe, spec, max_panel_width, cap_end, node_bytes)
+    def capture(f, probe, spec, max_panel_width=None, node_bytes=None):
+        seen.append((f, probe, max_panel_width))
+        return integrate_vector_semi_infinite(f, probe, spec, max_panel_width, node_bytes)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(nu_module, "integrate_vector_semi_infinite", capture)
@@ -308,29 +309,26 @@ _EXP_PROBE = IntegrandProbe(
 )
 _OSC_PROBE = IntegrandProbe(peak_location=0.0, truncation_point=300.0, peak_log_value=0.0)
 
-# name -> () -> (integrand, probe, max_panel_width, cap_end)
+# name -> () -> (integrand, probe, max_panel_width)
 _ENGINE_CASES = {
-    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None, math.inf),
-    "vector": lambda: (_three_components, _EXP_PROBE, None, math.inf),
-    "oscillatory-capped": lambda: (
-        lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0, math.inf
-    ),
+    "exp": lambda: (lambda t: np.exp(-t), _EXP_PROBE, None),
+    "vector": lambda: (_three_components, _EXP_PROBE, None),
+    # A sign-changing integrand on width-capped panels.
+    "oscillatory-capped": lambda: (lambda t: np.exp(-t) * np.cos(7.0 * t), _OSC_PROBE, 6.0 / 7.0),
     "log-singular": lambda: (
-        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None,
-        math.inf,
+        _log_singular, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None
     ),
-    "bump": lambda: (_bump, _EXP_PROBE, None, math.inf),
+    "bump": lambda: (_bump, _EXP_PROBE, None),
     "inverse-log-short-ladder": lambda: (
-        _inverse_log, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None,
-        math.inf,
+        _inverse_log, IntegrandProbe(0.0, truncation_point=250.0, peak_log_value=0.0), None
     ),
 }
 # Cases run on fewer coarse rungs toward 0 than the engine's default: the
 # failing origin panel [0, 250/8] grows the dynamic ladder on top of them.
 _CASE_RUNGS = {"inverse-log-short-ladder": 3}
-# Single evaluator calls whose engine call is a case.  nu_alpha(2, -1.5)
-# caps its panels left of its cap end: 20 coarse panels, all accepted on
-# the first level, where capping them all would make 179.
+# Single evaluator calls whose engine call is a case.  nu_alpha(2, -1.5),
+# whose integrand changes sign at E = 0.5, is accepted uncapped on its 16
+# coarse panels.
 _SINGLE_CALLS = {
     "nu(1)": lambda: nu(1.0, SPEC),
     "nu(2+3j)": lambda: nu(2.0 + 3.0j, SPEC),
@@ -343,10 +341,10 @@ _ENGINE_CASES.update(
 
 @pytest.mark.parametrize("name", list(_ENGINE_CASES))
 def test_breadth_first_engine_matches_depth_first_reference(name):
-    f, probe, width, cap_end = _ENGINE_CASES[name]()
+    f, probe, width = _ENGINE_CASES[name]()
     rungs = _CASE_RUNGS.get(name, _LADDER)
-    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end, rungs=rungs)
-    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, cap_end=cap_end, rungs=rungs)
+    got = _integrate_adaptive(f, probe, SPEC, max_panel_width=width, rungs=rungs)
+    ref = _reference_adaptive(f, probe, SPEC, max_panel_width=width, rungs=rungs)
     for g, r in zip((got.value, got.error_estimate), ref[:2]):
         assert np.asarray(g).dtype == np.asarray(r).dtype
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
