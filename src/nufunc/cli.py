@@ -218,8 +218,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.tol is not None and not args.tol >= 0.0:
-        raise ValueError(f"--tol must be >= 0, got {args.tol}")
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     reports = run_suite(filter=args.filter, spec=QuadSpec(), tol=args.tol)
     _emit(reports_to_json(reports), args.out)
     return 0 if suite_passed(reports) else 1

@@ -186,7 +186,7 @@ def _weighted_lhs(sf: StructureFn, x: float, spec: QuadSpec, inner=None, extra_g
 
 def _log_gamma_ratio(lower, upper) -> float:
     """ln(prod Gamma(lower) / prod Gamma(upper))."""
-    return sum(math.lgamma(v) for v in lower) - sum(math.lgamma(v) for v in upper)
+    return sum(map(_log_gamma_scalar, lower)) - sum(map(_log_gamma_scalar, upper))
 
 
 def check_laplace_nu(s: float, spec: QuadSpec = QuadSpec(), tol: float | None = None) -> IdentityReport:

@@ -9,9 +9,11 @@ or a numpy array and return the matching kind, so the quadrature layer can
 evaluate integrands on whole node batches at once.  One scalar kernel gives
 digamma and trigamma together, for the nu peak probe and `digamma_inverse`.
 
-The log-gamma kernel is a fixed-coefficient rational (Lanczos-class)
-approximation with the coefficients embedded below, giving relative error
-below 1e-13 on the positive real axis.
+A scalar's log-gamma is the standard library's `math.lgamma`.  An array's
+is the vectorized form of the same Lanczos approximation (the same g, the
+numerator scaled by e^-g and the same denominator), with the coefficients
+embedded below; both give relative error below 1e-13 on the positive real
+axis, and below 1e-20 both return -ln x, as `math.lgamma` does.
 """
 
 from __future__ import annotations
@@ -51,30 +53,16 @@ _LANCZOS_NUM = (
     56906521.91347156388090791033559122686859,
 )
 
-# Denominator is x(x+1)...(x+11) expanded; exact integer coefficients.
-_LANCZOS_DEN = (
-    1.0,
-    66.0,
-    1925.0,
-    32670.0,
-    357423.0,
-    2637558.0,
-    13339535.0,
-    45995730.0,
-    105258076.0,
-    150917976.0,
-    120543840.0,
-    39916800.0,
-    0.0,
-)
+# Denominator is x(x+1)...(x+11) expanded; its integer coefficients are exact.
+_LANCZOS_DEN = tuple(np.poly(-np.arange(12.0)).tolist())
 
 _LANCZOS_NUM_REV = tuple(reversed(_LANCZOS_NUM))
 _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
-# (numerator, denominator) coefficient pairs for the scalar Horner loop.
-_LANCZOS_PAIRS = tuple(zip(_LANCZOS_NUM, _LANCZOS_DEN))
-_LANCZOS_PAIRS_REV = tuple(zip(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV))
 # ln Gamma(x) is 1.756e308 at this x and overflows a little above 2.556e305.
 _LOG_GAMMA_MAX = 2.5e305
+# Below this x, ln Gamma(x) is -ln x to double precision, and on subnormal x
+# the rational sum would overflow.
+_LOG_GAMMA_TINY = 1e-20
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -113,23 +101,12 @@ def _lanczos_sum_scaled(x, x_min):
 
 
 def _log_gamma_scalar(x: float) -> float:
-    """Pure-scalar log-gamma; the hot path for peak searches and probes.
-
-    It takes libm's log, which differs from numpy's vectorized log of the
-    array path in the last bit on about 0.1% of arguments.
-    """
+    """Domain-checked math.lgamma; the hot path for peak searches and probes."""
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x > _LOG_GAMMA_MAX:
         raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
-    # The polynomials run in 1/x from x = 1 up and in x below, as in _lanczos_sum_scaled.
-    t, pairs = (1.0 / x, _LANCZOS_PAIRS_REV) if x >= 1.0 else (x, _LANCZOS_PAIRS)
-    num = den = 0.0
-    for a, b in pairs:
-        num = num * t + a
-        den = den * t + b
-    base = x + (_LANCZOS_G - 0.5)
-    return (x - 0.5) * (math.log(base) - 1.0) + math.log(num / den)
+    return math.lgamma(x)
 
 
 def log_gamma(x):
@@ -147,6 +124,11 @@ def log_gamma(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x_max > _LOG_GAMMA_MAX:
         raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
+    if x_min < _LOG_GAMMA_TINY:
+        tiny = arr < _LOG_GAMMA_TINY
+        out = log_gamma(np.where(tiny, 1.0, arr))
+        out[tiny] = -np.log(arr[tiny])
+        return out
     # The rational sum absorbs the sqrt(2*pi) prefactor of the Stirling-type
     # formula, so ln Gamma(x) = (x - 1/2) [ln(x + g - 1/2) - 1] + ln L(x).
     base = arr + (_LANCZOS_G - 0.5)

@@ -574,7 +574,8 @@ def test_zero_tolerance_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "eval", "nu", "--z", "1", "--tol=-1")
     assert (code, out, err) == (2, "", "usage error: --tol must be finite and > 0, got -1.0\n")
     # check's --tol is the identities' own tolerance: 0 asks for exact
-    # agreement, while NaN or a negative value would fail every case.
-    for tol in ("nan", "-1"):
+    # agreement, while NaN or a negative value would fail every case and an
+    # infinite one would pass every case, 4.23 included.
+    for tol in ("nan", "-1", "inf"):
         code, out, err = run_cli(capsys, "check", "--filter", "4.19", "--tol", tol)
-        assert (code, out) == (2, "") and err == f"usage error: --tol must be >= 0, got {float(tol)}\n"
+        assert (code, out) == (2, "") and err == f"usage error: --tol must be finite and >= 0, got {float(tol)}\n"

@@ -49,7 +49,7 @@ from nufunc.nu import (
     rho_discrete,
 )
 from nufunc.quadrature import QuadSpec, locate_peak
-from nufunc.special import _log_gamma_scalar, log_gamma, reciprocal_gamma_log_signed
+from nufunc.special import log_gamma, reciprocal_gamma_log_signed
 
 # The package's `nu` function shadows the `nufunc.nu` module attribute.
 NU_MODULE = importlib.import_module("nufunc.nu")
@@ -204,11 +204,11 @@ def test_log_rho_continuous_matches_per_term_reference(params, shape):
 def test_log_rho_scalar_matches_per_term_reference(params):
     sf = StructureFn(params)
     for E in (0.0, 0.1, 0.3, 1.0, 2.5, 17.25, 150.0):
-        ref = _log_gamma_scalar(E + 1.0)
+        ref = math.lgamma(E + 1.0)
         for bj in params.b:
-            ref += _log_gamma_scalar(bj + E) - _log_gamma_scalar(bj)
+            ref += math.lgamma(bj + E) - math.lgamma(bj)
         for ai in params.a:
-            ref -= _log_gamma_scalar(ai + E) - _log_gamma_scalar(ai)
+            ref -= math.lgamma(ai + E) - math.lgamma(ai)
         assert sf.log_rho_scalar(E) == ref
 
 

@@ -1,12 +1,16 @@
 """Unit tests for the scalar special-function kernel."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from nufunc.coherent import cs_coefficient_continuous, transition_density
 from nufunc.errors import DomainError, NonFinite
+from nufunc.nu import HyperParams, StructureFn, rho_continuous
+from nufunc.quadrature import QuadSpec
 from nufunc.special import (
     _polygamma_scalar,
     complex_pow,
@@ -14,6 +18,8 @@ from nufunc.special import (
     log_gamma,
     reciprocal_gamma_log_signed,
 )
+
+_PLAIN = StructureFn(HyperParams(0, 0))
 
 
 def test_log_gamma_reference_points():
@@ -32,6 +38,32 @@ def test_log_gamma_matches_reference_library_on_grid():
         [np.linspace(0.05, 2.0, 40), np.linspace(2.0, 50.0, 49), [1e3, 1e6]]
     )
     assert np.allclose(log_gamma(x), sp.gammaln(x), rtol=1e-12, atol=1e-12)
+    scalar = [log_gamma(v) for v in x.tolist()]
+    assert np.allclose(scalar, sp.gammaln(x), rtol=1e-12, atol=1e-12)
+
+
+def test_scalar_log_gamma_is_math_lgamma():
+    x = np.concatenate([np.geomspace(5e-324, 2.5e305, 4001), [1.0, 2.0, 0.5, 37.3]])
+    for v in x.tolist():
+        assert log_gamma(v) == math.lgamma(v), v
+    assert log_gamma(1.0) == log_gamma(2.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-20])
+def test_log_gamma_at_tiny_arguments_is_minus_log_x_on_both_paths(x):
+    # ln Gamma(x) = -ln x - gamma x + O(x^2); the array path must neither
+    # overflow to inf nor warn where its rational sum would.
+    assert log_gamma(x) == math.lgamma(x) == pytest.approx(-math.log(x), rel=1e-16)
+    # Next to an ordinary node, which keeps its own value.
+    arr = log_gamma(np.array([x, 0.5, x]))
+    assert arr.tolist() == [log_gamma(x), log_gamma(np.array([0.5]))[0], log_gamma(x)]
+    log_abs, sign = reciprocal_gamma_log_signed(np.array([x, -0.5, x]))
+    assert log_abs.tolist() == [-log_gamma(x), reciprocal_gamma_log_signed(-0.5)[0], -log_gamma(x)]
+    assert sign.tolist() == [1.0, -1.0, 1.0]
+    assert reciprocal_gamma_log_signed(x) == (-log_gamma(x), 1.0)
+    # A family entry this small, as HyperParams admits, keeps ln rho finite.
+    expected = math.lgamma(1.5) + math.lgamma(x + 0.5) - math.lgamma(x)
+    assert rho_continuous(StructureFn(HyperParams(0, 1, (), (x,))), 0.5) == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_gamma_mixed_branches_match_each_part_alone():
@@ -236,6 +268,17 @@ def test_complex_pow_principal_branch():
         (complex_pow, (2.0, math.nan), DomainError, r"^complex_pow requires finite w and E, .*E = nan$"),
         (complex_pow, (1e308, 2.0), NonFinite, r"^complex_pow\(\(1e\+308\+0j\), 2.0\) overflows$"),
         (complex_pow, (1e300 + 1e300j, 1e308), NonFinite, r"overflows$"),
+        (rho_continuous, (_PLAIN, 1e308), DomainError, r"^log_gamma requires x <= 2.5e\+305, got 1e\+308$"),
+        (
+            transition_density, (_PLAIN, 2.0, 1e308, QuadSpec()),
+            DomainError,
+            r"^log_gamma requires x <= 2.5e\+305, got 1e\+308$",
+        ),
+        (
+            cs_coefficient_continuous, (_PLAIN, 1.0, 1e308),
+            DomainError,
+            r"^log_gamma requires x <= 2.5e\+305, got 1e\+308$",
+        ),
     ],
 )
 def test_extreme_arguments_raise_a_library_error_naming_them(fn, args, error, message):
