@@ -11,6 +11,7 @@ a diagnostic comparing the series and integral normalizers.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -44,7 +45,11 @@ __all__ = [
 
 
 def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
-    """Coefficient of the n-th basis state: z^n / sqrt(rho(n) * pFq(|z|^2))."""
+    """Coefficient of the n-th basis state: z^n / sqrt(rho(n) * pFq(|z|^2)).
+
+    The numerator is formed in log space, so z^n and rho(n) may leave the
+    float range where c_n, at most 1 in modulus, does not.
+    """
     n = _integer(n, "basis index")
     if n < 0:
         raise DomainError(f"basis index must be >= 0, got {n}")
@@ -52,7 +57,9 @@ def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
     norm = pfq_series(sf.params, abs(z) ** 2).real
     if not (norm > 0.0):
         raise DomainError("series normalizer is not positive")
-    return z**n * math.exp(-0.5 * rho_discrete(sf, n)) / math.sqrt(norm)
+    if z == 0:
+        return complex(n == 0) / math.sqrt(norm)
+    return cmath.exp(n * cmath.log(z) - 0.5 * rho_discrete(sf, n)) / math.sqrt(norm)
 
 
 def cs_coefficient_continuous(

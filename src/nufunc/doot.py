@@ -151,11 +151,14 @@ def _flatten(node) -> list:
 
 
 def _power(base: complex, exponent: float) -> complex:
-    """base ** exponent; a zero base raised to a negative power is a DomainError."""
+    """base ** exponent; a zero base raised to a negative power is a DomainError,
+    and a power that overflows is NonFinite."""
     try:
         return base**exponent
     except ZeroDivisionError:
         raise DomainError("zero base raised to a negative power") from None
+    except OverflowError:
+        raise NonFinite(f"power {base!r} ** {exponent!r} overflows") from None
 
 
 def normal_order(e: DootExpr) -> DootExpr:
@@ -516,7 +519,7 @@ class _Parser:
                 p = self.real_number()
                 self.expect(",")
                 q = self.real_number()
-                if p != int(p) or q != int(q):
+                if not (p.is_integer() and q.is_integer()):
                     raise ParseError("family indices must be integers", pos)
                 self.expect(";")
                 a = self.real_list(";")

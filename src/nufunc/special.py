@@ -12,8 +12,9 @@ digamma and trigamma together, for the nu peak probe and `digamma_inverse`.
 A scalar's log-gamma is the standard library's `math.lgamma`.  An array's
 is the vectorized form of the same Lanczos approximation (the same g, the
 numerator scaled by e^-g and the same denominator), with the coefficients
-embedded below; both give relative error below 1e-13 on the positive real
-axis, and below 1e-20 both return -ln x, as `math.lgamma` does.
+embedded below, evaluated in 1/y at y >= 1; below 1 the recurrence
+ln Gamma(x) = ln Gamma(x + 1) - ln x lifts x there.  Both give relative
+error below 1e-13 on the positive real axis, and -ln x at subnormal x.
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ _LANCZOS_NUM_REV = tuple(reversed(_LANCZOS_NUM))
 _LANCZOS_DEN_REV = tuple(reversed(_LANCZOS_DEN))
 # ln Gamma(x) is 1.756e308 at this x and overflows a little above 2.556e305.
 _LOG_GAMMA_MAX = 2.5e305
-# Below this x, ln Gamma(x) is -ln x to double precision, and on subnormal x
-# the rational sum would overflow.
-_LOG_GAMMA_TINY = 1e-20
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -79,25 +77,6 @@ def _rational(num, den, t):
         q *= t
         q += c
     return p / q
-
-
-def _lanczos_sum_scaled(x, x_min):
-    """Evaluate the scaled Lanczos rational at an array x > 0 whose
-    smallest element is x_min.
-
-    For x >= 1 the polynomials are evaluated in 1/x so the Horner recursion
-    stays well conditioned for large arguments; below 1 they are evaluated
-    in x directly.  A mixed array runs the 1/x branch on every node, with
-    those below 1 clipped to 1, and then overwrites those from their own
-    branch, which costs less than gathering and scattering the rest.
-    """
-    # Both polynomials share the x^12 scaling, so the ratio is unchanged.
-    if x_min >= 1.0:
-        return _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / x)
-    out = _rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / np.maximum(x, 1.0))
-    small = x < 1.0
-    out[small] = _rational(_LANCZOS_NUM, _LANCZOS_DEN, x[small])
-    return out
 
 
 def _log_gamma_scalar(x: float) -> float:
@@ -124,15 +103,17 @@ def log_gamma(x):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x_max > _LOG_GAMMA_MAX:
         raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX:g}, got {x!r}")
-    if x_min < _LOG_GAMMA_TINY:
-        tiny = arr < _LOG_GAMMA_TINY
-        out = log_gamma(np.where(tiny, 1.0, arr))
-        out[tiny] = -np.log(arr[tiny])
-        return out
+    # ln Gamma(x) = ln Gamma(x + 1) - ln x (DLMF 5.5.1) lifts x < 1 to y >= 1,
+    # where the rational runs in 1/y; a subnormal x lifts to exactly 1.
+    y = arr + (arr < 1.0) if x_min < 1.0 else arr
     # The rational sum absorbs the sqrt(2*pi) prefactor of the Stirling-type
-    # formula, so ln Gamma(x) = (x - 1/2) [ln(x + g - 1/2) - 1] + ln L(x).
-    base = arr + (_LANCZOS_G - 0.5)
-    return (arr - 0.5) * (np.log(base) - 1.0) + np.log(_lanczos_sum_scaled(arr, x_min))
+    # formula, so ln Gamma(y) = (y - 1/2) [ln(y + g - 1/2) - 1] + ln L(y).
+    # Both polynomials share the y^12 scaling, so the ratio is unchanged.
+    base = y + (_LANCZOS_G - 0.5)
+    out = (y - 0.5) * (np.log(base) - 1.0) + np.log(_rational(_LANCZOS_NUM_REV, _LANCZOS_DEN_REV, 1.0 / y))
+    if x_min < 1.0:
+        out -= np.log(np.minimum(arr, 1.0))
+    return out
 
 
 def _sinpi(x):

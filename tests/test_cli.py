@@ -545,6 +545,12 @@ def test_doot_family_beyond_log_gamma_is_a_parse_error(capsys):
     assert err == "parse error: invalid family: HyperParams entries must lie in (0, 2.5e+305], got 1e+306 (at position 0)\n"
 
 
+def test_doot_infinite_family_index_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "doot", "--expr", "nu[1e400,0;;](Am)", "--bra", "0.5", "--ket", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "parse error: family indices must be integers (at position 0)\n"
+
+
 def test_doot_symbolic_label_requires_z(capsys):
     code, out, err = run_cli(capsys, "doot", "--expr", "1", "--bra", "z", "--ket", "z")
     assert (code, out, err) == (2, "", "usage error: --bra='z' requires --z\n")

@@ -76,6 +76,17 @@ def test_discrete_coefficient_rejects_negative_index():
     assert cs_coefficient_discrete(PLAIN, 0.5, 2.0) == cs_coefficient_discrete(PLAIN, 0.5, 2)
 
 
+def test_discrete_coefficients_past_the_float_range_of_z_to_the_n():
+    # z^n and n! overflow, c_n does not: 0.14121954115855585 from 40-digit
+    # mpmath, and about 2.7e-2267 at (2, 2000), which underflows to 0.
+    for coefficient in (cs_coefficient_discrete, kp_coefficient):
+        assert abs(coefficient(PLAIN, 20.0, 400) - 0.14121954115855585) < 1e-12
+        assert coefficient(PLAIN, 2.0, 2000) == 0.0
+    # At z = 0 the state is the ground state.
+    assert cs_coefficient_discrete(CONFLUENT, 0.0, 0) == 1.0
+    assert cs_coefficient_discrete(CONFLUENT, 0.0, 3) == 0.0
+
+
 # (p, q) of a family whose series diverges everywhere, and of one that
 # converges only for |z|^2 < 1; kp_coefficient swaps the roles of a and b.
 _SERIES_DOMAIN_CASES = {

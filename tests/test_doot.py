@@ -11,6 +11,7 @@ from nufunc import (
     Exp,
     HyperParams,
     MatrixElementQuery,
+    NonFinite,
     NormalOrder,
     NuWrap,
     ParseError,
@@ -123,6 +124,13 @@ def test_parse_error_other_malformed_inputs():
         parse_expression("what")  # unknown name
 
 
+def test_parse_error_on_non_integral_family_indices():
+    # 1e400 reads as inf, which has no integer to compare with.
+    for text in ("nu[1e400,0;;](Am)", "nu[0,1e400;;](Am)", "nu[0.5,0;;](Am)"):
+        with pytest.raises(ParseError, match="^family indices must be integers"):
+            parse_expression(text)
+
+
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
@@ -153,6 +161,11 @@ def test_normal_order_merges_exponentials():
 def test_normal_order_collapses_nested_markers():
     inner = Product((SymbolPlus(), SymbolMinus()))
     assert normal_order(NormalOrder(NormalOrder(inner))) == NormalOrder(inner)
+
+
+def test_normal_order_overflowing_constant_power_is_nonfinite():
+    with pytest.raises(NonFinite, match=r"^power \(10\+0j\) \*\* 400\.0 overflows$"):
+        normal_order(parse_expression("10^400"))
 
 
 def test_normal_order_is_idempotent():

@@ -42,6 +42,17 @@ def test_log_gamma_matches_reference_library_on_grid():
     assert np.allclose(scalar, sp.gammaln(x), rtol=1e-12, atol=1e-12)
 
 
+def test_array_log_gamma_below_one_matches_reference_library():
+    # The recurrence ln Gamma(x) = ln Gamma(x + 1) - ln x, near 0, near 1 and
+    # in between; absolute error where |ln Gamma| < 1, relative otherwise.
+    x = np.concatenate(
+        [np.geomspace(1e-300, 0.999, 2000), 1.0 - np.geomspace(1e-12, 0.1, 300), np.linspace(1e-6, 1.0 - 1e-6, 1000)]
+    )
+    expected = sp.gammaln(x)
+    err = np.abs(log_gamma(x) - expected) / np.maximum(np.abs(expected), 1.0)
+    assert err.max() <= 2e-15
+
+
 def test_scalar_log_gamma_is_math_lgamma():
     x = np.concatenate([np.geomspace(5e-324, 2.5e305, 4001), [1.0, 2.0, 0.5, 37.3]])
     for v in x.tolist():
@@ -67,8 +78,8 @@ def test_log_gamma_at_tiny_arguments_is_minus_log_x_on_both_paths(x):
 
 
 def test_log_gamma_mixed_branches_match_each_part_alone():
-    # Nodes below and above 1 take different Horner branches; a mixed array
-    # must give, bit for bit, what each part gives alone.
+    # Nodes below 1 go through the recurrence and those above do not; a mixed
+    # array must give, bit for bit, what each part gives alone.
     rng = np.random.default_rng(7)
     x = np.concatenate(
         [rng.uniform(1e-8, 1.0, 500), rng.uniform(1.0, 1e6, 500), [1.0, np.nextafter(1.0, 0.0)]]
