@@ -21,11 +21,11 @@ from .nu import (
     HyperParams,
     StructureFn,
     _integer,
+    _series,
     convergence_domain,
     nu_general,
     nu_general_detailed,
     nu_general_log,
-    pfq_series,
     pfq_series_log,
     rho_continuous,
     rho_discrete,
@@ -43,23 +43,24 @@ __all__ = [
     "dc_limit_check",
 ]
 
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
 
 def cs_coefficient_discrete(sf: StructureFn, z: complex, n: int) -> complex:
     """Coefficient of the n-th basis state: z^n / sqrt(rho(n) * pFq(|z|^2)).
 
-    The numerator is formed in log space, so z^n and rho(n) may leave the
-    float range where c_n, at most 1 in modulus, does not.
+    Numerator and normalizer are formed in log space, so c_n, at most 1 in
+    modulus, is finite for every z in the family's domain.
     """
     n = _integer(n, "basis index")
     if n < 0:
         raise DomainError(f"basis index must be >= 0, got {n}")
     z = complex(z)
-    norm = pfq_series(sf.params, abs(z) ** 2).real
-    if not (norm > 0.0):
-        raise DomainError("series normalizer is not positive")
+    total, e = _series(sf.params, abs(z) ** 2)
     if z == 0:
-        return complex(n == 0) / math.sqrt(norm)
-    return cmath.exp(n * cmath.log(z) - 0.5 * rho_discrete(sf, n)) / math.sqrt(norm)
+        return complex(n == 0)
+    log_norm = math.log(total.real) + e * math.log(2.0)
+    return cmath.exp(n * cmath.log(z) - 0.5 * (rho_discrete(sf, n) + log_norm))
 
 
 def cs_coefficient_continuous(
@@ -168,12 +169,12 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
     The two are different objects - the integral replaces a sum - so this
     is a structural report, not an equality assertion: both values are
     returned along with their ratio integral/series, which approaches 1
-    for the plain family as w grows.  Log-scaled evaluation keeps large w
-    representable, up to the 1e6 truncation clamp: the integral's peak
-    E ~ w must lie below it, or `nu_general_log` raises NonDecaying (the
-    plain family works at w = 9.5e5 and raises from about 9.8e5), and the
-    series' term cap grows with its peak near n = w only while that peak
-    is within it.
+    for the plain family as w grows; a linear field is exp of its log field,
+    inf past e^709.78.  Log-scaled evaluation keeps large w representable,
+    up to the 1e6 truncation clamp: the integral's peak E ~ w must lie
+    below it, or `nu_general_log` raises NonDecaying (the plain family
+    works at w = 9.5e5 and raises from about 9.8e5), and so must the
+    series' peak near n = w, or `pfq_series_log` raises NoConvergence.
     """
     w = float(w)
     if w < 0.0:
@@ -193,8 +194,8 @@ def dc_limit_check(sf: StructureFn, w: float, spec: QuadSpec) -> dict:
     series_log = pfq_series_log(sf.params, w)
     return {
         "w": w,
-        "series": math.exp(series_log) if series_log < 709.0 else math.inf,
-        "integral": math.exp(integral_log) if integral_log < 709.0 else math.inf,
+        "series": math.exp(series_log) if series_log <= _LOG_DBL_MAX else math.inf,
+        "integral": math.exp(integral_log) if integral_log <= _LOG_DBL_MAX else math.inf,
         "series_log": series_log,
         "integral_log": integral_log,
         "ratio": math.exp(integral_log - series_log),

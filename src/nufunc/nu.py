@@ -6,7 +6,8 @@ nu_general(f, w) = integral of w^E / rho(E) for a parametrized family f,
                    where rho(E) = Gamma(E+1) * prod_j (b_j)_E / prod_i (a_i)_E
 
 with the rising factorial (x)_E = Gamma(x+E)/Gamma(x).  The companion
-discrete object is the hypergeometric-type power series sum_n w^n / rho(n).
+discrete object is the hypergeometric-type power series sum_n w^n / rho(n),
+which one loop, `_series`, sums for pfq_series and pfq_series_log.
 
 Family convergence: the integral/series is entire when p <= q, converges on
 the open unit disc when p = q + 1 (rho then grows only polynomially), and is
@@ -70,6 +71,9 @@ __all__ = [
 
 _SERIES_CAP = 10000
 _SERIES_CUTOFF = 1e-16
+# The series scales by 2**-900: exact, and far from both ends of the float range.
+_SCALE_BITS = 900
+_SCALE = 2.0**_SCALE_BITS
 
 
 @dataclass(frozen=True)
@@ -171,19 +175,18 @@ def rho_discrete(sf: StructureFn, n: int) -> float:
     """ln[n! * prod (b_j)_n / prod (a_i)_n], built as an explicit product.
 
     The term-by-term log sum keeps this independent of the continuous
-    gamma-ratio route, so the two can cross-check each other.
+    gamma-ratio route, so the two can cross-check each other; math.fsum
+    adds the logs with one rounding, so the error does not grow with n.
     """
     n = _integer(n, "index n")
     if n < 0:
         raise DomainError(f"rho_discrete requires n >= 0, got {n}")
-    total = 0.0
-    for k in range(n):
-        total += math.log(k + 1.0)
-        for bj in sf.params.b:
-            total += math.log(bj + k)
-        for ai in sf.params.a:
-            total -= math.log(ai + k)
-    return total
+    logs = [math.log(k + 1.0) for k in range(n)]
+    for bj in sf.params.b:
+        logs += [math.log(bj + k) for k in range(n)]
+    for ai in sf.params.a:
+        logs += [-math.log(ai + k) for k in range(n)]
+    return math.fsum(logs)
 
 
 def rho_continuous(sf: StructureFn, E: float) -> float:
@@ -513,19 +516,28 @@ def nu_complex_grid(sf: StructureFn, moduli, phases, spec: QuadSpec):
     return nu_general_detailed(sf, moduli[:, None] * np.exp(1j * phases), spec).value
 
 
-def pfq_series(params: HyperParams, w) -> complex:
-    """Power series sum over n of w^n / rho(n), summed to relative 1e-16.
-
-    Terms are built by the exact ratio recurrence; the sum stops once a term
-    falls below 1e-16 of the running sum (cap 10000 terms).
+def _series(params: HyperParams, w) -> tuple:
+    """(total, e), the series sum over n of w^n / rho(n) = total * 2**e by
+    the exact ratio recurrence, stopped once a term falls below 1e-16 of the
+    running sum.  A term past 2**900 scales itself and the sum by 2**-900,
+    which is exact, so the rounding is the unscaled loop's.  The cap is
+    10 000 terms, plus n* + 10*sqrt(n*) for an entire family, whose terms
+    peak near n* = |w|^(1/(1+q-p)); an n* past the 1e6 clamp raises at once.
     """
     w = complex(w)
     if not cmath.isfinite(w):
         raise DomainError(f"pfq_series requires a finite argument, got {w}")
     _check_domain(params, abs(w))
+    cap = _SERIES_CAP
+    if params.p <= params.q:
+        peak = abs(w) ** (1.0 / (1 + params.q - params.p))
+        if peak > _TRUNCATION_CLAMP:
+            raise NoConvergence(f"series terms peak past the 1e6 clamp near n = {peak:.6g} at |w|={abs(w):.6g}")
+        cap += int(peak + 10.0 * math.sqrt(peak))
     term = 1.0 + 0j
     total = term
-    for n in range(_SERIES_CAP):
+    e = 0
+    for n in range(cap):
         ratio = w
         for ai in params.a:
             ratio *= ai + n
@@ -533,50 +545,36 @@ def pfq_series(params: HyperParams, w) -> complex:
         for bj in params.b:
             denom *= bj + n
         term = term * ratio / denom
+        size = abs(term)
+        if size > _SCALE:
+            term, total, e = term / _SCALE, total / _SCALE, e + _SCALE_BITS
+            size = abs(term)
         total += term
+        # Past the scaling, only a term grown by a huge entry overflows.
         if not cmath.isfinite(total):
             raise NonFinite(f"series sum overflows at |w|={abs(w):.6g} after {n + 1} terms")
-        if abs(term) < _SERIES_CUTOFF * abs(total):
-            return total
-    raise NoConvergence(
-        f"series did not converge within {_SERIES_CAP} terms at |w|={abs(w):.6g}"
-    )
+        if size < _SERIES_CUTOFF * abs(total):
+            return total, e
+    raise NoConvergence(f"series did not converge within {cap} terms at |w|={abs(w):.6g}")
+
+
+def pfq_series(params: HyperParams, w) -> complex:
+    """Power series sum over n of w^n / rho(n), summed to relative 1e-16 by
+    `_series`; NonFinite once the sum passes the largest double, e^709.78."""
+    total, e = _series(params, w)
+    try:
+        return complex(math.ldexp(total.real, e), math.ldexp(total.imag, e))
+    except OverflowError:
+        log_abs = math.log(abs(total)) + e * math.log(2.0)
+        msg = f"series sum overflows at |w|={abs(complex(w)):.6g}: ln|sum| = {log_abs:.6g}"
+        raise NonFinite(msg) from None
 
 
 def pfq_series_log(params: HyperParams, w: float) -> float:
-    """ln of the series value for real w >= 0, evaluated wholly in log space.
-
-    An entire family's terms peak near n* = w^(1/(1+q-p)), so its cap is
-    10 000 terms plus n* + 10*sqrt(n*) while n* is within the 1e6
-    truncation clamp; a unit-disc family keeps 10 000.
-    """
+    """ln of the series value for real w >= 0, from `_series`'s scaled sum."""
     if not 0.0 <= w < math.inf:
         raise DomainError(f"pfq_series_log requires finite w >= 0, got {w!r}")
     if w == 0.0:
         return 0.0
-    _check_domain(params, w)
-    cap = _SERIES_CAP
-    if params.p <= params.q:
-        peak = w ** (1.0 / (1 + params.q - params.p))
-        if peak <= _TRUNCATION_CLAMP:
-            cap += int(peak + 10.0 * math.sqrt(peak))
-    log_w = math.log(w)
-    log_terms = [0.0]
-    lt = 0.0
-    best = 0.0
-    for n in range(cap):
-        step = log_w
-        for ai in params.a:
-            step += math.log(ai + n)
-        step -= math.log(n + 1.0)
-        for bj in params.b:
-            step -= math.log(bj + n)
-        lt += step
-        log_terms.append(lt)
-        best = max(best, lt)
-        if lt < best + math.log(_SERIES_CUTOFF) and step < 0.0:
-            arr = np.asarray(log_terms)
-            return best + math.log(np.sum(np.exp(arr - best)))
-    raise NoConvergence(
-        f"log-scale series did not converge within {cap} terms at w={w:.6g}"
-    )
+    total, e = _series(params, w)
+    return math.log(total.real) + e * math.log(2.0)

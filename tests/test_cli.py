@@ -356,6 +356,14 @@ def test_input_column_is_a_real_z_or_the_modulus_of_a_complex_one(capsys, argv, 
     assert row[0] == x
 
 
+def test_eval_pfq_prints_sums_up_to_the_float_limit(capsys):
+    # e^709 fits a double though its largest terms do not; e^900 does not.
+    (row,) = _table_rows(capsys, "eval", "pfq", "--z", "709")
+    assert row[0] == 709.0 and math.isclose(row[1], math.exp(709.0), rel_tol=1e-14)
+    code, out, err = run_cli(capsys, "eval", "pfq", "--z", "900")
+    assert (code, out, err) == (3, "", "numerical error: series sum overflows at |w|=900: ln|sum| = 900\n")
+
+
 def test_bad_grid_is_usage_error(capsys):
     # A count past the cap is refused before any row is allocated.
     for grid, message in (

@@ -56,11 +56,10 @@ def test_discrete_coefficient_phase():
 
 def test_discrete_coefficient_plain_matches_poisson_amplitude():
     # for the plain family, |c_n|^2 is the Poisson(|z|^2) mass at n
-    z = 0.9 - 0.4j
-    u = abs(z) ** 2
-    for n in (0, 1, 4):
+    # (30, 3) and (26.7, 700): the series normalizer passes the largest double.
+    for z, n in [(0.9 - 0.4j, 0), (0.9 - 0.4j, 1), (0.9 - 0.4j, 4), (30.0, 3), (26.7, 700)]:
         c = cs_coefficient_discrete(PLAIN, z, n)
-        assert math.isclose(abs(c) ** 2, poisson_density_discrete(u, n), rel_tol=1e-12)
+        assert math.isclose(abs(c) ** 2, poisson_density_discrete(abs(z) ** 2, n), rel_tol=1e-12)
 
 
 def test_discrete_coefficient_rejects_negative_index():
@@ -340,6 +339,11 @@ def test_dc_limit_large_argument_uses_log_fields():
     assert math.isinf(out["series"]) and math.isinf(out["integral"])
     assert math.isclose(out["series_log"], 800.0, rel_tol=1e-12)
     assert abs(out["ratio"] - 1.0) <= 1e-6
+    # e^709.5 = 1.35e308 still fits a double, so both linear fields are finite.
+    out = dc_limit_check(PLAIN, 709.5, SPEC)
+    for key in ("series", "integral"):
+        assert math.isclose(out[key], math.exp(709.5), rel_tol=1e-12)
+        assert out[key] == math.exp(out[key + "_log"])
 
 
 def test_log_normalizers_have_stated_argument_limits():

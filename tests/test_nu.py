@@ -235,6 +235,12 @@ def test_pfq_exponential_family():
         )
 
 
+def test_pfq_exponential_family_up_to_the_float_limit():
+    # The terms pass the largest double before the sum does.
+    for w in (707.56, 709.0, 709.7):
+        assert pfq_series(HyperParams(0, 0), w).real == pytest.approx(math.exp(w), rel=1e-14)
+
+
 def test_pfq_confluent_closed_form():
     params = HyperParams(1, 1, (1.0,), (2.0,))
     for w in (1.3, 2.0, -3.0):
@@ -248,7 +254,7 @@ def test_series_that_needs_more_terms_than_its_cap_raises():
     params = HyperParams(1, 0, (1.0,), ())
     with pytest.raises(NoConvergence, match=r"^series did not converge within 10000 terms at \|w\|=0.9999"):
         pfq_series(params, 0.9999)
-    with pytest.raises(NoConvergence, match="^log-scale series did not converge within 10000 terms at w=0.9999"):
+    with pytest.raises(NoConvergence, match=r"^series did not converge within 10000 terms at \|w\|=0.9999"):
         pfq_series_log(params, 0.9999)
 
 
@@ -618,16 +624,18 @@ def test_non_finite_arguments_are_named_before_the_probe(bad):
         with pytest.raises(DomainError, match=r"squared modulus must be finite and >= 0"):
             poisson_density_discrete(bad, 1)
     if bad == math.inf:
-        # A finite argument whose sum overflows is named at the first
-        # infinite partial sum, not after 10 000 terms.
-        for call, abs_w in [
-            (lambda: pfq_series(PLAIN.params, 900.0), "900"),
-            (lambda: pfq_series(PLAIN.params, 1e20), "1e+20"),
-            (lambda: cs_coefficient_discrete(PLAIN, 30.0, 3), "900"),
-        ]:
-            with pytest.raises(NonFinite) as exc:
-                call()
-            assert str(exc.value).startswith(f"series sum overflows at |w|={abs_w} after")
+        # A finite argument whose sum overflows is named with the sum's log;
+        # one whose terms peak past the clamp is named before any term is
+        # summed.  The coefficient, at most 1, is finite where its
+        # normalizer overflows.
+        with pytest.raises(NonFinite) as exc:
+            pfq_series(PLAIN.params, 900.0)
+        assert str(exc.value) == "series sum overflows at |w|=900: ln|sum| = 900"
+        for w in (1e20, -1e20):
+            with pytest.raises(NoConvergence) as exc:
+                pfq_series(PLAIN.params, w)
+            assert str(exc.value) == "series terms peak past the 1e6 clamp near n = 1e+20 at |w|=1e+20"
+        assert 0.0 < abs(cs_coefficient_discrete(PLAIN, 30.0, 3)) < 1e-190
 
 
 # name -> a call whose integrand, panel sums, total or closed-form argument
